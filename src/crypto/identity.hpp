@@ -11,7 +11,8 @@
 ///     (userId, nodeId, expiry) with an authentication code.
 ///   - Nodes attach their Credential to every RPC; receivers verify it
 ///     before updating routing tables or accepting stores (Sybil/ID-spoof
-///     defence).
+///     defence). A receiving KademliaNode runs the HMAC once per distinct
+///     credential and re-checks expiry on every datagram (docs/DESIGN.md §2).
 ///   - Stored tokens carry a ContentSignature binding (userId, key, token)
 ///     so replicas can reject forged writes.
 ///

@@ -177,24 +177,85 @@ void KademliaNode::putMany(const NodeId& key, std::vector<StoreToken> tokens,
   putMany(key, std::move(tokens), allocatePutId(), std::move(cb));
 }
 
-std::string KademliaNode::putDedupKey(const std::string& user, u64 putId,
-                                      u32 chunk) {
-  return user + '#' + std::to_string(putId) + '#' + std::to_string(chunk);
-}
-
 bool KademliaNode::wasPutApplied(const std::string& user, u64 putId,
                                  u32 chunk) const {
-  return seenPuts_.count(putDedupKey(user, putId, chunk)) > 0;
+  auto it = putSenderSlots_.find(user);
+  if (it == putSenderSlots_.end()) return false;
+  return seenPutIndex_[seenPutSlot(PutKey{putId, chunk, it->second})] != 0;
 }
 
 void KademliaNode::recordPutApplied(const std::string& user, u64 putId,
                                     u32 chunk) {
-  std::string dedupKey = putDedupKey(user, putId, chunk);
-  if (!seenPuts_.insert(dedupKey).second) return;
-  seenPutOrder_.push_back(std::move(dedupKey));
-  if (seenPutOrder_.size() > kSeenPutCap) {
-    seenPuts_.erase(seenPutOrder_.front());
-    seenPutOrder_.pop_front();
+  auto [it, fresh] = putSenderSlots_.try_emplace(user, 0);
+  if (fresh) {
+    if (freePutSenders_.empty()) {
+      it->second = static_cast<u32>(putSenders_.size());
+      putSenders_.emplace_back();
+    } else {
+      it->second = freePutSenders_.back();
+      freePutSenders_.pop_back();
+    }
+    putSenders_[it->second].user = &it->first;
+  }
+  const PutKey key{putId, chunk, it->second};
+  if (!fresh && seenPutIndex_[seenPutSlot(key)] != 0) return;
+  ++putSenders_[key.sender].refs;
+
+  usize pos = 0;
+  if (seenPuts_.size() < kSeenPutCap) {
+    pos = seenPuts_.size();
+    seenPuts_.push_back(key);
+    if (2 * seenPuts_.size() > seenPutIndex_.size()) {
+      reindexSeenPuts(std::max<usize>(16, 2 * seenPutIndex_.size()));
+      return;
+    }
+  } else {
+    // Window full: the new chunk takes the oldest chunk's ring position.
+    pos = seenPutHead_;
+    unindexSeenPut(seenPutSlot(seenPuts_[pos]));
+    releasePutSender(seenPuts_[pos].sender);
+    seenPuts_[pos] = key;
+    seenPutHead_ = (pos + 1) % kSeenPutCap;
+  }
+  seenPutIndex_[seenPutSlot(key)] = static_cast<u16>(pos + 1);
+}
+
+usize KademliaNode::seenPutSlot(const PutKey& key) const {
+  const usize mask = seenPutIndex_.size() - 1;
+  usize i = key.hash() & mask;
+  while (seenPutIndex_[i] != 0 && !(seenPuts_[seenPutIndex_[i] - 1] == key)) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void KademliaNode::unindexSeenPut(usize hole) {
+  // Backward-shift deletion: pull later entries of the probe run into the
+  // hole unless their home slot lies cyclically in (hole, i].
+  const usize mask = seenPutIndex_.size() - 1;
+  seenPutIndex_[hole] = 0;
+  for (usize i = (hole + 1) & mask; seenPutIndex_[i] != 0; i = (i + 1) & mask) {
+    usize home = seenPuts_[seenPutIndex_[i] - 1].hash() & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      seenPutIndex_[hole] = seenPutIndex_[i];
+      seenPutIndex_[i] = 0;
+      hole = i;
+    }
+  }
+}
+
+void KademliaNode::releasePutSender(u32 sender) {
+  PutSender& s = putSenders_[sender];
+  if (--s.refs != 0) return;
+  putSenderSlots_.erase(putSenderSlots_.find(*s.user));
+  s.user = nullptr;
+  freePutSenders_.push_back(sender);
+}
+
+void KademliaNode::reindexSeenPuts(usize capacity) {
+  seenPutIndex_.assign(capacity, 0);
+  for (usize p = 0; p < seenPuts_.size(); ++p) {
+    seenPutIndex_[seenPutSlot(seenPuts_[p])] = static_cast<u16>(p + 1);
   }
 }
 
@@ -452,6 +513,29 @@ void KademliaNode::observeSender(const Envelope& env) {
   });
 }
 
+bool KademliaNode::credentialValid(const NodeId& credId,
+                                   const crypto::Credential& c) {
+  const net::TimeUs now = exec_.now();
+  auto it = credentialMemo_.find(credId);
+  if (it != credentialMemo_.end() && it->second.userId == c.userId &&
+      it->second.expiresAt == c.expiresAt && it->second.mac == c.mac) {
+    // The very credential the HMAC already accepted: only expiry can have
+    // changed since (CertificationService::verify's rule, 0 = never).
+    return c.expiresAt == 0 || now <= c.expiresAt;
+  }
+  ++counters_.credentialVerifies;
+  if (!cs_.verify(c, now)) return false;
+  if (it != credentialMemo_.end()) {
+    it->second = c;
+    return true;
+  }
+  if (credentialMemo_.size() >= kCredentialMemoCap) {
+    credentialMemo_.erase(credentialMemo_.begin());
+  }
+  credentialMemo_.emplace(credId, c);
+  return true;
+}
+
 void KademliaNode::onDatagram(net::Address from, const std::vector<u8>& data) {
   DHARMA_ASSERT_AFFINITY(&exec_, "KademliaNode::onDatagram");
   auto envOpt = Envelope::decode(data);
@@ -461,8 +545,8 @@ void KademliaNode::onDatagram(net::Address from, const std::vector<u8>& data) {
 
   if (cfg_.verifyCredentials) {
     // Likir: the credential must verify AND bind the claimed node id.
-    if (!cs_.verify(env.credential, exec_.now()) ||
-        NodeId::fromDigest(env.credential.nodeId) != env.sender.id) {
+    const NodeId credId = NodeId::fromDigest(env.credential.nodeId);
+    if (!credentialValid(credId, env.credential) || credId != env.sender.id) {
       ++counters_.credentialRejects;
       return;
     }

@@ -11,11 +11,11 @@
 /// counters().lookups is the quantity Table I counts.
 
 #include <array>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "cache/record_cache.hpp"
 #include "crypto/identity.hpp"
@@ -120,6 +120,7 @@ struct NodeCounters {
   u64 storesAccepted = 0;      ///< tokens applied on behalf of peers
   u64 storesRejectedAuth = 0;  ///< forged content signatures refused
   u64 credentialRejects = 0;   ///< datagrams dropped for bad credentials
+  u64 credentialVerifies = 0;  ///< full HMAC verifies run (memo misses)
   u64 replySenderMismatches = 0; ///< replies echoing a pending rpcId from the wrong peer
   u64 sendRejects = 0;         ///< RPCs failed fast (datagram refused by the network)
   u64 putQuorumFailures = 0;   ///< PUTs acked by fewer replicas than intended
@@ -138,8 +139,21 @@ struct NodeCounters {
 /// world only through the Executor (clock, timers) and Transport (datagram)
 /// interfaces, so the identical protocol code runs on the deterministic
 /// simulator and on real UDP sockets under a real-time executor.
+///
+/// Every received datagram's credential is checked (docs/DESIGN.md §2), but
+/// the HMAC runs once per distinct credential: credentials that passed
+/// CertificationService::verify are memoized per sender node id, a later
+/// datagram skips the HMAC only when its credential equals the memoized one
+/// field for field, and expiry is re-checked against the clock on every
+/// datagram.
 class KademliaNode {
  public:
+  /// Bound on memoized sender credentials; past it an arbitrary entry is
+  /// dropped (its sender just pays one more full verify).
+  static constexpr usize kCredentialMemoCap = 1024;
+  /// Replay-dedup window: the last kSeenPutCap applied STORE chunks.
+  static constexpr usize kSeenPutCap = 8192;
+
   /// \param exec  shared event loop (SimExecutor or RealTimeExecutor)
   /// \param net   shared datagram transport (SimTransport or UdpTransport)
   /// \param cs    certification service (verification oracle)
@@ -218,6 +232,8 @@ class KademliaNode {
   RoutingTable& routing() { return routing_; }
   const RoutingTable& routing() const { return routing_; }
   const NodeCounters& counters() const { return counters_; }
+  /// Distinct sender credentials currently memoized (≤ kCredentialMemoCap).
+  usize credentialMemoSize() const { return credentialMemo_.size(); }
   const NodeConfig& config() const { return cfg_; }
 
   /// Node-side record cache (non-authoritative STORE_CACHE copies).
@@ -262,19 +278,54 @@ class KademliaNode {
   std::array<obs::Histogram*, 2> lookupLatencyHist_{};
   void initObs();
 
+  /// Credentials that passed cs_.verify, keyed by credential node id (at
+  /// most kCredentialMemoCap). Only successes are stored; like the rest of
+  /// the node's state it is touched only on the node's own loop.
+  std::unordered_map<NodeId, crypto::Credential, NodeIdHash> credentialMemo_;
+
+  /// True when \p c passes cs_.verify at the current time, running the
+  /// HMAC only when \p c differs from the memoized credential for its id.
+  bool credentialValid(const NodeId& credId, const crypto::Credential& c);
+
   /// Replay-dedup memory for STOREs: (sender, putId, chunk) chunks that
   /// fully APPLIED (recorded only on success — a rejected chunk must fail
-  /// again on retry, not be dedup-acked). Bounded FIFO so a long-lived
-  /// replica can't grow unboundedly; a retry arrives within a few backoff
-  /// periods, far inside the window.
-  std::unordered_set<std::string> seenPuts_;
-  std::deque<std::string> seenPutOrder_;
-  static constexpr usize kSeenPutCap = 8192;
+  /// again on retry, not be dedup-acked). A FIFO window of the last
+  /// kSeenPutCap, so a long-lived replica can't grow unboundedly; a retry
+  /// arrives within a few backoff periods, far inside the window.
+  ///
+  /// Keys are exact and fixed-size: the sender's user id is interned into
+  /// a slot that lives while any window entry names it. The window is a
+  /// ring (oldest at seenPutHead_ once full) indexed by an open-addressing
+  /// table of ring position + 1 (0 = empty), kept at most half full.
+  struct PutKey {
+    u64 putId = 0;
+    u32 chunk = 0;
+    u32 sender = 0;  ///< slot in putSenders_
+    bool operator==(const PutKey&) const = default;
+    usize hash() const {
+      return static_cast<usize>(
+          splitmix64(putId ^ splitmix64((u64{chunk} << 32) | sender)));
+    }
+  };
+  struct PutSender {
+    const std::string* user = nullptr;  ///< key inside putSenderSlots_
+    u32 refs = 0;                       ///< window entries naming it
+  };
+  std::vector<PutKey> seenPuts_;
+  usize seenPutHead_ = 0;
+  std::vector<u16> seenPutIndex_;
+  std::unordered_map<std::string, u32> putSenderSlots_;
+  std::vector<PutSender> putSenders_;
+  std::vector<u32> freePutSenders_;
 
-  static std::string putDedupKey(const std::string& user, u64 putId,
-                                 u32 chunk);
+  static_assert(kSeenPutCap < 0xFFFF, "ring positions must fit the u16 index");
   bool wasPutApplied(const std::string& user, u64 putId, u32 chunk) const;
   void recordPutApplied(const std::string& user, u64 putId, u32 chunk);
+  /// Index slot holding \p key, else the empty slot where it would go.
+  usize seenPutSlot(const PutKey& key) const;
+  void unindexSeenPut(usize slot);
+  void releasePutSender(u32 sender);
+  void reindexSeenPuts(usize capacity);
 
   struct PendingRpc {
     std::function<void(bool, const Envelope&)> onDone;  // ok=false on timeout

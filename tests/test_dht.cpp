@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <set>
+#include <tuple>
+
 namespace dharma::dht {
 namespace {
 
@@ -316,6 +320,222 @@ TEST(Dht, ScalesTo128Nodes) {
   auto view = net.getBlocking(99, key);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->weightOf("x"), 1u);
+}
+
+// -- Credential memo: one HMAC per distinct credential ----------------------
+
+/// A PING from \p cred, delivered to node \p to from node \p from's address.
+void pingWith(DhtNetwork& net, const crypto::Credential& cred, usize from,
+              usize to, u64 rpcId) {
+  Envelope e;
+  e.type = RpcType::kPing;
+  e.rpcId = rpcId;
+  e.sender.id = NodeId::fromDigest(cred.nodeId);
+  e.sender.addr = net.node(from).address();
+  e.credential = cred;
+  net.network().send(net.node(from).address(), net.node(to).address(),
+                     e.encode());
+  net.sim().run();
+}
+
+TEST(Dht, CredentialMemoRejectsTamperedFields) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  KademliaNode& n0 = net.node(0);
+  const crypto::Credential valid = net.cs().enroll("user-1");
+  const NodeId id1 = NodeId::fromDigest(valid.nodeId);
+  pingWith(net, valid, 1, 0, 1);  // memoized now, whatever came before
+  ASSERT_TRUE(n0.routing().contains(id1));
+
+  crypto::Credential badUser = valid;
+  badUser.userId = "user-2";
+  crypto::Credential badExpiry = valid;
+  badExpiry.expiresAt = 1'000'000'000;
+  crypto::Credential badMac = valid;
+  badMac.mac[0] ^= 0x01;
+  u64 rpcId = 2;
+  for (const crypto::Credential& bad : {badUser, badExpiry, badMac}) {
+    n0.routing().remove(id1);
+    u64 before = n0.counters().credentialRejects;
+    pingWith(net, bad, 1, 0, rpcId++);
+    EXPECT_EQ(n0.counters().credentialRejects, before + 1);
+    EXPECT_FALSE(n0.routing().contains(id1));
+  }
+  // The memoized credential itself is still accepted without a new HMAC.
+  u64 verifies = n0.counters().credentialVerifies;
+  pingWith(net, valid, 1, 0, rpcId);
+  EXPECT_TRUE(n0.routing().contains(id1));
+  EXPECT_EQ(n0.counters().credentialVerifies, verifies);
+}
+
+TEST(Dht, CredentialMemoRechecksExpiry) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  KademliaNode& n0 = net.node(0);
+  const net::TimeUs expiresAt = net.sim().now() + 1'000'000;
+  const crypto::Credential cred = net.cs().enroll("short-lived", expiresAt);
+  const NodeId id = NodeId::fromDigest(cred.nodeId);
+  u64 rejects = n0.counters().credentialRejects;
+  pingWith(net, cred, 1, 0, 1);
+  EXPECT_TRUE(n0.routing().contains(id));
+  EXPECT_EQ(n0.counters().credentialRejects, rejects);
+
+  n0.routing().remove(id);
+  net.sim().runUntil(expiresAt + 1);
+  u64 verifies = n0.counters().credentialVerifies;
+  pingWith(net, cred, 1, 0, 2);
+  EXPECT_EQ(n0.counters().credentialRejects, rejects + 1);
+  EXPECT_FALSE(n0.routing().contains(id));
+  // Rejected on the memo hit itself: the expiry check runs per datagram.
+  EXPECT_EQ(n0.counters().credentialVerifies, verifies);
+}
+
+TEST(Dht, CredentialMemoVerifiesOncePerSender) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  KademliaNode& n0 = net.node(0);
+  const crypto::Credential cred = net.cs().enroll("pinger");
+  u64 verifies = n0.counters().credentialVerifies;
+  u64 received = n0.counters().rpcsReceived;
+  for (u64 i = 0; i < 10; ++i) pingWith(net, cred, 1, 0, 100 + i);
+  EXPECT_EQ(n0.counters().rpcsReceived, received + 10);
+  EXPECT_EQ(n0.counters().credentialVerifies, verifies + 1);
+}
+
+TEST(Dht, CredentialMemoStaysBounded) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  KademliaNode& n0 = net.node(0);
+  const usize senders = KademliaNode::kCredentialMemoCap + 1;
+  u64 rejects = n0.counters().credentialRejects;
+  u64 verifies = n0.counters().credentialVerifies;
+  for (usize i = 0; i < senders; ++i) {
+    pingWith(net, net.cs().enroll("sender-" + std::to_string(i)), 1, 0, i + 1);
+    ASSERT_LE(n0.credentialMemoSize(), KademliaNode::kCredentialMemoCap);
+  }
+  EXPECT_EQ(n0.counters().credentialRejects, rejects);
+  EXPECT_EQ(n0.counters().credentialVerifies, verifies + senders);
+  EXPECT_EQ(n0.credentialMemoSize(), KademliaNode::kCredentialMemoCap);
+}
+
+// -- STORE replay dedup on (sender, putId, chunk) ---------------------------
+
+/// A signed one-token STORE of inc(\p entry) under \p key, as node \p from
+/// (user-<from>) would send it for logical PUT \p putId.
+Envelope storeFrom(DhtNetwork& net, usize from, const NodeId& key,
+                   const std::string& entry, u64 putId, u32 chunk = 0) {
+  const std::string user = "user-" + std::to_string(from);
+  StoreReq req;
+  req.key = key;
+  req.putId = putId;
+  req.chunk = chunk;
+  req.tokens.push_back(inc(entry));
+  req.signature = net.cs().signContent(user, key.toHex(), req.canonicalBatch());
+  Envelope e;
+  e.type = RpcType::kStore;
+  e.rpcId = putId;
+  e.sender = net.node(from).contact();
+  e.credential = net.cs().enroll(user);
+  e.body = req.encode();
+  return e;
+}
+
+void deliver(DhtNetwork& net, usize to, const Envelope& e) {
+  net.network().send(e.sender.addr, net.node(to).address(), e.encode());
+  net.sim().run();
+}
+
+u64 weightAt(DhtNetwork& net, usize node, const NodeId& key,
+             const std::string& entry) {
+  auto view = net.node(node).store().query(key, {});
+  return view ? view->weightOf(entry) : 0;
+}
+
+TEST(Dht, StoreDedupKeepsSendersApart) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  const NodeId key = NodeId::fromString("dedup-senders");
+  // Both senders already have chunks in the window before they collide.
+  deliver(net, 0, storeFrom(net, 1, key, "x", 4));
+  deliver(net, 0, storeFrom(net, 2, key, "x", 6));
+  deliver(net, 0, storeFrom(net, 1, key, "x", 5));
+  deliver(net, 0, storeFrom(net, 2, key, "x", 5));
+  EXPECT_EQ(weightAt(net, 0, key, "x"), 4u);
+  EXPECT_EQ(net.node(0).counters().storesDeduplicated, 0u);
+}
+
+TEST(Dht, StoreReplayIsAckedNotReapplied) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  const NodeId key = NodeId::fromString("dedup-replay");
+  const Envelope e = storeFrom(net, 1, key, "x", 9, 3);
+  deliver(net, 0, e);
+  u64 accepted = net.node(0).counters().storesAccepted;
+  deliver(net, 0, e);
+  EXPECT_EQ(weightAt(net, 0, key, "x"), 1u);
+  EXPECT_EQ(net.node(0).counters().storesAccepted, accepted);
+  EXPECT_EQ(net.node(0).counters().storesDeduplicated, 1u);
+}
+
+TEST(Dht, StoreDedupWindowForgetsOldestFirst) {
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  KademliaNode& n0 = net.node(0);
+  const NodeId key = NodeId::fromString("dedup-window");
+  // The oldest chunk comes from user-2; the next kSeenPutCap from user-1
+  // push it out of the window.
+  const Envelope first = storeFrom(net, 2, key, "x", 1);
+  deliver(net, 0, first);
+  std::vector<Envelope> rest;
+  for (u64 putId = 1; putId <= KademliaNode::kSeenPutCap; ++putId) {
+    rest.push_back(storeFrom(net, 1, key, "x", putId));
+    deliver(net, 0, rest.back());
+  }
+  const u64 applied = KademliaNode::kSeenPutCap + 1;
+  ASSERT_EQ(weightAt(net, 0, key, "x"), applied);
+
+  for (const Envelope& e : rest) deliver(net, 0, e);
+  EXPECT_EQ(n0.counters().storesDeduplicated, KademliaNode::kSeenPutCap);
+  EXPECT_EQ(weightAt(net, 0, key, "x"), applied);
+
+  deliver(net, 0, first);
+  EXPECT_EQ(n0.counters().storesDeduplicated, KademliaNode::kSeenPutCap);
+  EXPECT_EQ(weightAt(net, 0, key, "x"), applied + 1);
+}
+
+TEST(Dht, StoreDedupMatchesReferenceWindow) {
+  // Random STOREs over more distinct (sender, putId, chunk) keys than the
+  // window holds, checked step by step against a plain FIFO set: hits,
+  // misses, evictions and re-applies after eviction must all agree. One
+  // sender is rare, so its interned slot is released and reused.
+  DhtNetwork net(smallConfig(8));
+  net.bootstrap();
+  KademliaNode& n0 = net.node(0);
+  const NodeId key = NodeId::fromString("dedup-reference");
+  std::set<std::tuple<usize, u64, u32>> seen;
+  std::deque<std::tuple<usize, u64, u32>> order;
+  u64 dedups = 0;
+  Rng rng(2024);
+  for (int step = 0; step < 20000; ++step) {
+    const usize from = rng.uniform(100) == 0 ? 4 : 1 + rng.uniform(3);
+    const u64 putId = 1 + rng.uniform(3000);
+    const u32 chunk = static_cast<u32>(rng.uniform(2));
+    deliver(net, 0, storeFrom(net, from, key, "x", putId, chunk));
+    auto k = std::make_tuple(from, putId, chunk);
+    if (seen.count(k) != 0) {
+      ++dedups;
+    } else {
+      seen.insert(k);
+      order.push_back(k);
+      if (order.size() > KademliaNode::kSeenPutCap) {
+        seen.erase(order.front());
+        order.pop_front();
+      }
+    }
+    ASSERT_EQ(n0.counters().storesDeduplicated, dedups) << "step " << step;
+  }
+  EXPECT_EQ(weightAt(net, 0, key, "x"), 20000 - dedups);
+  EXPECT_GT(dedups, 0u);
 }
 
 }  // namespace

@@ -152,8 +152,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ExactEquivalence,
 ///  - the TRG is identical under any maintenance mode;
 ///  - approximated arcs are a subset of exact arcs;
 ///  - approximated weights never exceed exact weights.
+/// Both fields are u64 so the struct has no padding: gtest prints the raw
+/// bytes of the parameter into the discovered test names, and uninitialised
+/// padding would make those names differ from build to build.
 struct ApproxCase {
-  u32 k;
+  u64 k;
   u64 seed;
 };
 
@@ -163,7 +166,7 @@ TEST_P(ApproxInvariants, SubsetAndBounded) {
   auto [k, seed] = GetParam();
   Rng rng(seed);
   FolksonomyModel exact(exactMode(), seed);
-  FolksonomyModel approx(approxMode(k), seed);
+  FolksonomyModel approx(approxMode(static_cast<u32>(k)), seed);
   u32 nextRes = 0;
   constexpr u32 kTags = 15;
   // Same operation sequence into both models.
