@@ -7,6 +7,8 @@
 
 #include "analysis/rank.hpp"
 #include "core/client.hpp"
+#include "crypto/hmac.hpp"
+#include "crypto/identity.hpp"
 #include "folksonomy/derive.hpp"
 #include "workload/dataset.hpp"
 
@@ -143,6 +145,62 @@ void BM_Sha1(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
+// Each compression kernel run directly (0 = portable, 1 = SHA-NI), so one
+// run on a SHA-NI machine shows what the CPUID dispatch buys.
+void BM_Sha1Kernel(benchmark::State& state) {
+  const bool shaNi = state.range(1) != 0;
+  if (shaNi && !crypto::detail::sha1ShaNiSupported()) {
+    state.SkipWithError("CPU lacks the SHA extensions");
+    return;
+  }
+  std::string data(static_cast<usize>(state.range(0)), 'x');
+  for (auto _ : state) {
+    crypto::Sha1 h(shaNi ? crypto::detail::sha1CompressShaNi
+                         : crypto::detail::sha1CompressPortable);
+    h.update(data);
+    benchmark::DoNotOptimize(h.finish());
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha1Kernel)
+    ->ArgNames({"bytes", "shani"})
+    ->ArgsProduct({{64, 4096}, {0, 1}});
+
+// HMAC one-shot (key pads hashed per call, key = 0) against a precomputed
+// HmacSha1Key (key = 1). 75 bytes is the mean content-signature payload of
+// the sim_tagging benchmark workload.
+void BM_HmacSha1(benchmark::State& state) {
+  const std::string secret = "dharma-cs-secret";
+  const crypto::HmacSha1Key key(secret);
+  std::string data(static_cast<usize>(state.range(0)), 'x');
+  const bool keyed = state.range(1) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(keyed ? key.mac(data)
+                                   : crypto::hmacSha1(secret, data));
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_HmacSha1)
+    ->ArgNames({"bytes", "key"})
+    ->ArgsProduct({{75, 1024}, {0, 1}});
+
+// One replica-side STORE check: CertificationService::verifyContent over a
+// canonical token batch of state.range(0) bytes under a 40-hex block key.
+// 22 bytes is the mean STORE content of the sim_tagging benchmark workload.
+void BM_VerifyContent(benchmark::State& state) {
+  crypto::CertificationService cs("dharma-cs-secret");
+  const std::string keyHex = dht::NodeId::fromString("rock|t").toHex();
+  const std::string content(static_cast<usize>(state.range(0)), 'c');
+  const crypto::ContentSignature sig =
+      cs.signContent("user-17", keyHex, content);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cs.verifyContent(sig, keyHex, content));
+  }
+}
+BENCHMARK(BM_VerifyContent)->Arg(22);
+
 // ---------------------------------------------------------------------------
 // Simulator hot path. Every simulated RPC costs ~3 events (send, deliver,
 // timeout) and nearly every timeout is cancelled, so schedule+cancel IS the
@@ -192,4 +250,13 @@ BENCHMARK(BM_SimScheduleRun)->Arg(256)->Arg(4096)->Unit(benchmark::kMicrosecond)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // Which SHA-1 kernel CPUID picked on this machine: the Sha1/Hmac/Verify
+  // figures above mean little without it.
+  benchmark::AddCustomContext("sha1_kernel", crypto::sha1KernelName());
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -37,8 +37,9 @@
 /// rules (datagrams to/from those peers silently vanish), which is how the
 /// harness scripts network partitions on one host.
 
+#include <cerrno>
 #include <csignal>
-#include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -57,6 +58,8 @@
 #include "obs/trace.hpp"
 #include "util/options.hpp"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <unistd.h>
 
 using namespace dharma;
@@ -64,10 +67,65 @@ using namespace dharma;
 namespace {
 
 /// Signal number of the pending graceful-stop request (0 = none). Written
-/// by the signal handler, polled by the command loop.
+/// by the signal handler, read by the command loop.
 volatile std::sig_atomic_t g_stopSignal = 0;
 
-void onStopSignal(int sig) { g_stopSignal = sig; }
+/// Self-pipe: the handler writes one byte to the write end, and the command
+/// loop polls the read end beside stdin. A signal that lands after the
+/// loop's last stop check but before it blocks still wakes it.
+int g_stopPipe[2] = {-1, -1};
+
+void onStopSignal(int sig) {
+  g_stopSignal = sig;
+  const int savedErrno = errno;
+  const char byte = 1;
+  const ssize_t wrote = ::write(g_stopPipe[1], &byte, 1);
+  (void)wrote;  // a full pipe already holds a wake-up
+  errno = savedErrno;
+}
+
+/// Reads stdin one line at a time; waits for input or a stop signal,
+/// whichever comes first.
+class StdinLines {
+ public:
+  /// Stores the next line (without its '\n') in \p line. False at end of
+  /// input or once a stop signal has arrived; a stop wins over lines that
+  /// are already buffered.
+  bool next(std::string& line) {
+    for (;;) {
+      if (g_stopSignal != 0) return false;
+      const usize nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        line.assign(buf_, 0, nl);
+        buf_.erase(0, nl + 1);
+        return true;
+      }
+      if (eof_) {
+        if (buf_.empty()) return false;
+        line = std::move(buf_);
+        buf_.clear();
+        return true;
+      }
+      pollfd fds[2] = {{STDIN_FILENO, POLLIN, 0}, {g_stopPipe[0], POLLIN, 0}};
+      if (::poll(fds, 2, -1) < 0) {
+        if (errno != EINTR) eof_ = true;
+        continue;
+      }
+      if (fds[1].revents != 0 || fds[0].revents == 0) continue;
+      char chunk[4096];
+      const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
+      if (n > 0) {
+        buf_.append(chunk, static_cast<usize>(n));
+      } else if (n == 0 || errno != EINTR) {
+        eof_ = true;
+      }
+    }
+  }
+
+ private:
+  std::string buf_;
+  bool eof_ = false;
+};
 
 const char* errorName(core::OpError e) {
   switch (e) {
@@ -349,10 +407,16 @@ int main(int argc, char** argv) {
 
   // Graceful-stop plumbing, in three steps: block the signals (so the
   // executor/receiver threads spawned during boot inherit the blocked
-  // mask), install the handlers WITHOUT SA_RESTART (so a signal interrupts
-  // the blocking stdin read instead of silently restarting it), and
-  // unblock on the main thread only once boot is done — making main the
-  // one thread that takes delivery.
+  // mask), install the handlers (which set g_stopSignal and write the
+  // self-pipe that wakes the command loop), and unblock on the main thread
+  // only once boot is done — making main the one thread that takes
+  // delivery.
+  if (::pipe(g_stopPipe) != 0) {
+    std::cerr << "ERR startup: pipe: " << std::strerror(errno) << "\n";
+    return 2;
+  }
+  for (int fd : g_stopPipe) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  ::fcntl(g_stopPipe[1], F_SETFL, O_NONBLOCK);
   sigset_t stopSet;
   sigemptyset(&stopSet);
   sigaddset(&stopSet, SIGTERM);
@@ -361,7 +425,7 @@ int main(int argc, char** argv) {
   struct sigaction sa{};
   sa.sa_handler = onStopSignal;
   sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // no SA_RESTART: wake the getline below
+  sa.sa_flags = 0;
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
 
@@ -407,8 +471,9 @@ int main(int argc, char** argv) {
     std::cout << "ERR " << what << "\n";
   };
 
+  StdinLines input;
   std::string line;
-  while (g_stopSignal == 0 && std::getline(std::cin, line)) {
+  while (input.next(line)) {
     std::istringstream in(line);
     std::string cmd;
     in >> cmd;
@@ -584,16 +649,6 @@ int main(int argc, char** argv) {
     } else {
       fail("unknown command '" + cmd + "' (try 'help')");
     }
-  }
-
-  // A stop signal interrupts the getline above (no SA_RESTART), but the
-  // handler itself may not have run yet when the read error surfaces —
-  // sanitizer runtimes defer async handlers to the next sync point. If
-  // stdin failed without reaching real EOF, the flag is on its way: wait
-  // for it briefly so the goodbye line is deterministic under every
-  // build. (feof distinguishes the cases; cin is sync'd with stdio.)
-  if (g_stopSignal == 0 && std::cin.fail() && !std::feof(stdin)) {
-    for (int i = 0; i < 200 && g_stopSignal == 0; ++i) ::usleep(10'000);
   }
 
   if (g_stopSignal != 0) {

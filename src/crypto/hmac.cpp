@@ -4,13 +4,13 @@
 
 namespace dharma::crypto {
 
-Digest160 hmacSha1(std::string_view key, const u8* data, usize len) {
+HmacSha1Key::HmacSha1Key(std::string_view key) {
   u8 keyBlock[64];
   std::memset(keyBlock, 0, sizeof(keyBlock));
   if (key.size() > 64) {
     Digest160 kd = sha1(key);
     std::memcpy(keyBlock, kd.data(), kd.size());
-  } else {
+  } else if (!key.empty()) {
     std::memcpy(keyBlock, key.data(), key.size());
   }
 
@@ -19,20 +19,36 @@ Digest160 hmacSha1(std::string_view key, const u8* data, usize len) {
     ipad[i] = keyBlock[i] ^ 0x36;
     opad[i] = keyBlock[i] ^ 0x5c;
   }
+  inner_.update(ipad, 64);
+  outer_.update(opad, 64);
+}
 
-  Sha1 inner;
-  inner.update(ipad, 64);
-  inner.update(data, len);
+Digest160 HmacSha1Key::finishOuter(Sha1& inner) const {
   Digest160 innerDigest = inner.finish();
-
-  Sha1 outer;
-  outer.update(opad, 64);
+  Sha1 outer = outer_;
   outer.update(innerDigest.data(), innerDigest.size());
   return outer.finish();
 }
 
+Digest160 HmacSha1Key::mac(const u8* data, usize len) const {
+  Sha1 inner = inner_;
+  inner.update(data, len);
+  return finishOuter(inner);
+}
+
+Digest160 HmacSha1Key::mac(
+    std::initializer_list<std::string_view> parts) const {
+  Sha1 inner = inner_;
+  for (std::string_view part : parts) inner.update(part);
+  return finishOuter(inner);
+}
+
+Digest160 hmacSha1(std::string_view key, const u8* data, usize len) {
+  return HmacSha1Key(key).mac(data, len);
+}
+
 Digest160 hmacSha1(std::string_view key, std::string_view data) {
-  return hmacSha1(key, reinterpret_cast<const u8*>(data.data()), data.size());
+  return HmacSha1Key(key).mac(data);
 }
 
 bool digestEqual(const Digest160& a, const Digest160& b) {

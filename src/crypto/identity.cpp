@@ -16,8 +16,9 @@ std::string Credential::signedPayload() const {
   return s;
 }
 
-CertificationService::CertificationService(std::string secret, std::string salt)
-    : secret_(std::move(secret)), salt_(std::move(salt)) {}
+CertificationService::CertificationService(std::string_view secret,
+                                           std::string salt)
+    : key_(secret), salt_(std::move(salt)) {}
 
 Digest160 CertificationService::nodeIdFor(std::string_view userId) const {
   std::string material;
@@ -34,46 +35,34 @@ Credential CertificationService::enroll(std::string_view userId,
   c.userId = std::string(userId);
   c.nodeId = nodeIdFor(userId);
   c.expiresAt = expiresAt;
-  c.mac = hmacSha1(secret_, c.signedPayload());
+  c.mac = key_.mac(c.signedPayload());
   return c;
 }
 
 bool CertificationService::verify(const Credential& c, u64 now) const {
   if (c.expiresAt != 0 && now > c.expiresAt) return false;
-  Digest160 expected = hmacSha1(secret_, c.signedPayload());
-  return digestEqual(expected, c.mac);
+  return digestEqual(key_.mac(c.signedPayload()), c.mac);
 }
 
-ContentSignature CertificationService::signContent(std::string_view userId,
-                                                   std::string_view keyHex,
-                                                   std::string_view content) const {
-  std::string payload;
-  payload.reserve(userId.size() + keyHex.size() + content.size() + 8);
-  payload += "tok|";
-  payload += userId;
-  payload += '|';
-  payload += keyHex;
-  payload += '|';
-  payload += content;
+Digest160 CertificationService::contentMac(std::string_view userId,
+                                           std::string_view keyHex,
+                                           std::string_view content) const {
+  return key_.mac({"tok|", userId, "|", keyHex, "|", content});
+}
+
+ContentSignature CertificationService::signContent(
+    std::string_view userId, std::string_view keyHex,
+    std::string_view content) const {
   ContentSignature sig;
   sig.userId = std::string(userId);
-  sig.mac = hmacSha1(secret_, payload);
+  sig.mac = contentMac(userId, keyHex, content);
   return sig;
 }
 
 bool CertificationService::verifyContent(const ContentSignature& sig,
                                          std::string_view keyHex,
                                          std::string_view content) const {
-  std::string payload;
-  payload.reserve(sig.userId.size() + keyHex.size() + content.size() + 8);
-  payload += "tok|";
-  payload += sig.userId;
-  payload += '|';
-  payload += keyHex;
-  payload += '|';
-  payload += content;
-  Digest160 expected = hmacSha1(secret_, payload);
-  return digestEqual(expected, sig.mac);
+  return digestEqual(contentMac(sig.userId, keyHex, content), sig.mac);
 }
 
 }  // namespace dharma::crypto

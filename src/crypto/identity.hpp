@@ -55,7 +55,8 @@ class CertificationService {
  public:
   /// \param secret CS private key material.
   /// \param salt   namespace salt mixed into node-id derivation.
-  explicit CertificationService(std::string secret, std::string salt = "likir");
+  explicit CertificationService(std::string_view secret,
+                                std::string salt = "likir");
 
   /// Issues a credential for \p userId valid until \p expiresAt.
   Credential enroll(std::string_view userId, u64 expiresAt = 0) const;
@@ -75,8 +76,12 @@ class CertificationService {
   Digest160 nodeIdFor(std::string_view userId) const;
 
  private:
-  std::string secret_;
+  HmacSha1Key key_;  ///< the CS secret, pad blocks hashed once
   std::string salt_;
+
+  /// MAC over "tok|" userId "|" keyHex "|" content.
+  Digest160 contentMac(std::string_view userId, std::string_view keyHex,
+                       std::string_view content) const;
 };
 
 }  // namespace dharma::crypto

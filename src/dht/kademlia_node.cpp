@@ -49,9 +49,10 @@ struct KademliaNode::LookupTask {
   /// cache servers alike): never chosen as the path-cache target.
   std::vector<NodeId> holders;
 
-  /// Appends a span event when tracing; no-op (one branch) otherwise.
-  void ev(net::TimeUs t, const char* label, std::string detail = {}) {
-    if (traced) span.event(t, label, std::move(detail));
+  /// Appends a span event naming \p peer when tracing; otherwise one branch
+  /// and no hex formatting.
+  void ev(net::TimeUs t, const char* label, const NodeId& peer) {
+    if (traced) span.event(t, label, peer.shortHex());
   }
 
   bool isHolder(const NodeId& id) const {
@@ -795,14 +796,13 @@ void KademliaNode::pumpLookup(const std::shared_ptr<LookupTask>& task) {
     ++task->inflight;
     ++task->messagesSent;
     Contact peer = cand.contact;
-    task->ev(exec_.now(), "rpc-sent", peer.id.shortHex());
+    task->ev(exec_.now(), "rpc-sent", peer.id);
 
     auto onDone = [this, task, peerId = peer.id](bool ok, const Envelope& env) {
       if (task->done) return;
       --task->inflight;
       if (!ok) ++task->rpcFailures;
-      task->ev(exec_.now(), ok ? "rpc-reply" : "rpc-timeout",
-               peerId.shortHex());
+      task->ev(exec_.now(), ok ? "rpc-reply" : "rpc-timeout", peerId);
       Candidate* c = task->find(peerId);
       if (c) c->state = ok ? CandState::kResponded : CandState::kFailed;
       if (ok) {

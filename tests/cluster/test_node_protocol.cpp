@@ -208,6 +208,29 @@ TEST_F(NodeProtocolTest, SigintIsAGracefulStop) {
   EXPECT_EQ(es->code, 0);
 }
 
+/// A SIGINT sent the moment the daemon announces "cluster up", with no
+/// input on stdin at all, still stops it: the handler wakes the command
+/// loop instead of leaving it blocked until a next line that never comes.
+/// Twenty spawns, because the window between the loop's stop check and its
+/// wait is narrow.
+TEST(NodeProtocolBoot, SigintRightAfterBootIsAGracefulStop) {
+  std::signal(SIGPIPE, SIG_IGN);
+  for (int run = 0; run < 20; ++run) {
+    NodeProcess p;
+    ASSERT_TRUE(p.spawn(DHARMA_NODE_BIN, {"--nodes", "1"}));
+    ASSERT_TRUE(p.readLineWithPrefix("cluster up", kBootMs).has_value())
+        << "run " << run;
+    ASSERT_TRUE(p.signal(SIGINT));
+    auto bye = p.readLineWithPrefix("OK shutdown", 5000);
+    ASSERT_TRUE(bye.has_value()) << "no shutdown banner, run " << run;
+    EXPECT_EQ(*bye, "OK shutdown signal=int");
+    auto es = p.wait(5000);
+    ASSERT_TRUE(es.has_value()) << "run " << run;
+    EXPECT_TRUE(es->exited) << "run " << run;
+    EXPECT_EQ(es->code, 0) << "run " << run;
+  }
+}
+
 /// Boot-time flags outside the fixture: bad --drop-peers must be a
 /// diagnosed config error (exit 2), not a silently ignored rule.
 TEST(NodeProtocolBoot, BadDropPeersSpecExitsTwo) {
