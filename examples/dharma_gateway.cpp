@@ -20,6 +20,9 @@
 /// on|off (the PR 4 read-through record cache as this gateway's
 /// hot-record shield).
 ///
+/// The overlay underneath is DaemonHost (daemon_host.hpp), the same one
+/// dharma_node serves; this file is the HTTP front end on top.
+///
 /// Threading: gateway workers run blocking DharmaClient calls, which post
 /// to the engine loop thread through the runtime — HTTP concurrency never
 /// touches engine state directly (the Debug affinity checker enforces it).
@@ -29,247 +32,16 @@
 /// (HTTP or UDP port in use, bad bind address) print one typed ERR line
 /// and exit 2 — distinct from protocol errors (1) and clean runs (0).
 
-#include <csignal>
-#include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/client.hpp"
-#include "core/runtime.hpp"
-#include "dht/maintenance.hpp"
+#include "daemon_host.hpp"
 #include "gateway/server.hpp"
-#include "net/datagram.hpp"
-#include "net/realtime.hpp"
-#include "net/sharded.hpp"
-#include "obs/registry.hpp"
-#include "obs/sampler.hpp"
-#include "obs/trace.hpp"
-#include "util/options.hpp"
-
-#include <unistd.h>
 
 using namespace dharma;
 
 namespace {
-
-volatile std::sig_atomic_t g_stopSignal = 0;
-
-void onStopSignal(int sig) { g_stopSignal = sig; }
-
-struct Daemon {
-  /// Process-wide observability: one registry every layer (gateway,
-  /// client, node, UDP) records into, one trace ring spans land in.
-  /// Declared before the executors: the shard group registers its
-  /// per-shard families at construction.
-  obs::MetricsRegistry registry;
-  obs::TraceRing traces{256};
-  bool tracesOn = true;
-  /// The sharded runtime: node i lives on shard i % shards forever — its
-  /// datagrams, timers and blocking ops all run there (see rtFor/shardOf).
-  net::ShardedExecutor execs;
-  std::unique_ptr<net::DatagramTransport> transport;
-  crypto::CertificationService cs{"dharma-node-demo-secret"};
-  core::ShardedRuntime rt;
-  std::vector<std::unique_ptr<dht::KademliaNode>> nodes;
-  std::vector<std::unique_ptr<dht::MaintenanceManager>> managers;
-  std::unique_ptr<core::DharmaClient> client;
-  std::unique_ptr<obs::MetricsSampler> sampler;
-  std::shared_ptr<std::ofstream> metricsOut;
-
-  Daemon(const std::string& udpHost, usize shards, net::NetBackend backend)
-      : execs(net::ShardedExecutor::Config{shards, &registry}),
-        transport(net::makeDatagramTransport(
-            backend, execs.shard(0),
-            net::UdpConfig{udpHost, 1400, &registry})),
-        rt(execs, *transport) {}
-
-  /// The shard owning node \p i, and the runtime blocking ops against it
-  /// must wait on. nodes[0] (the gateway-facing node) is always on shard 0.
-  usize shardOf(usize i) const { return execs.shardOf(i); }
-  core::Runtime& rtFor(usize i) { return rt.forShard(shardOf(i)); }
-  core::Runtime& rt0() { return rt.forShard(0); }
-
-  ~Daemon() {
-    // Stop the sampler on its loop thread BEFORE stopping the loops, so a
-    // tick can't re-arm mid-stop (MaintenanceManager discipline).
-    if (sampler) {
-      rt0().awaitDone([&](std::function<void()> done) {
-        sampler->stop();
-        done();
-      });
-    }
-    // Same teardown discipline as dharma_node: stop the loops first so
-    // maintenance timers can't re-arm mid-stop. The gateway must already
-    // be stopped by now — its workers block through the runtime.
-    execs.stop();
-    for (auto& m : managers) m->stop();
-    transport->close();
-  }
-
-  /// Mirrors engine-side counters (client, node 0, client cache, UDP) into
-  /// the registry. MUST run on the engine loop thread — the sampler's
-  /// collect hook calls it directly; worker-thread scrapes go through
-  /// rt.awaitDone (see collectEngine below).
-  void syncEngineOnLoop() {
-    core::DharmaClient::Counters cc = client->counters();
-    core::OpCost cost = client->totalCost();
-    dht::NodeCounters nc = nodes[0]->counters();
-    cache::CacheStats cs = client->cacheStats();
-    net::UdpStats us = transport->stats();
-    registry.counter("dharma_client_ops_total", "Protocol operations completed")
-        .set(cc.ops);
-    registry
-        .counter("dharma_client_failures_total",
-                 "Operations returning an error")
-        .set(cc.failures);
-    registry
-        .counter("dharma_client_lookups_total",
-                 "Overlay lookups paid (Table I unit)")
-        .set(cost.lookups);
-    registry
-        .counter("dharma_client_cache_hits_total",
-                 "Reads served by the client record cache")
-        .set(cs.hits);
-    registry
-        .counter("dharma_client_cache_misses_total",
-                 "Client record cache misses")
-        .set(cs.misses);
-    registry
-        .counter("dharma_node_cache_hits_total",
-                 "GETs answered from the node-side cache")
-        .set(nc.cacheHits);
-    registry
-        .counter("dharma_node_stores_deduplicated_total",
-                 "Replayed STOREs acked without re-applying")
-        .set(nc.storesDeduplicated);
-    registry.counter("dharma_node_rpcs_sent_total", "RPC requests sent")
-        .set(nc.rpcsSent);
-    registry.counter("dharma_node_timeouts_total", "RPCs that timed out")
-        .set(nc.timeouts);
-    registry
-        .counter("dharma_udp_datagrams_sent_total",
-                 "Datagrams accepted by sendto()")
-        .set(us.sent);
-    registry
-        .counter("dharma_udp_datagrams_received_total",
-                 "Datagrams handed to an endpoint handler")
-        .set(us.received);
-    registry.counter("dharma_udp_bytes_sent_total", "Payload bytes accepted")
-        .set(us.bytesSent);
-  }
-
-  bool boot(usize n, const std::string& joinSpec, bool cacheOn,
-            usize joinRetries, net::TimeUs rpcTimeoutUs) {
-    execs.start();
-    std::string prefix = "gw-" + std::to_string(::getpid()) + "-";
-    dht::NodeConfig nodeCfg;
-    nodeCfg.rpcTimeoutUs = rpcTimeoutUs;
-    nodeCfg.metrics = &registry;
-    if (tracesOn) nodeCfg.traces = &traces;
-    for (usize i = 0; i < n; ++i) {
-      nodes.push_back(std::make_unique<dht::KademliaNode>(
-          execs.shard(shardOf(i)), *transport, cs,
-          cs.enroll(prefix + std::to_string(i)), nodeCfg, 0xA000 + i));
-      std::cout << "node " << i << " listening on "
-                << net::formatAddress(nodes[i]->address()) << "\n";
-    }
-
-    if (!joinSpec.empty()) {
-      net::PeerResolution peer = transport->resolvePeer(joinSpec);
-      if (!peer.ok()) {
-        std::cout << "ERR bad --join spec '" << joinSpec << "' ("
-                  << peer.errorName() << ")\n";
-        return false;
-      }
-      bool up = false;
-      for (usize attempt = 0; attempt < joinRetries && !up; ++attempt) {
-        up = core::awaitResult<bool>(rt0(),
-                                     [&](std::function<void(bool)> done) {
-          nodes[0]->pingAddress(peer.addr, std::move(done));
-        });
-      }
-      if (!up) {
-        std::cout << "ERR join peer " << joinSpec << " did not answer\n";
-        return false;
-      }
-      rt0().awaitDone([&](std::function<void()> done) {
-        nodes[0]->findNode(nodes[0]->id(),
-                           [done = std::move(done)](dht::LookupResult) {
-                             done();
-                           });
-      });
-      std::cout << "joined cluster via " << joinSpec << "\n";
-    }
-    for (usize i = 1; i < nodes.size(); ++i) {
-      dht::Contact seed = nodes[0]->contact();
-      // Each join waits on the joining node's OWN shard; the RPCs cross
-      // shards over the transport like any other wire traffic.
-      rtFor(i).awaitDone([&](std::function<void()> done) {
-        nodes[i]->join(seed, std::move(done));
-      });
-    }
-
-    dht::MaintenanceConfig mCfg;
-    for (usize i = 0; i < nodes.size(); ++i) {
-      managers.push_back(std::make_unique<dht::MaintenanceManager>(
-          execs.shard(shardOf(i)), *transport, *nodes[i], mCfg, 0x7A00 + i));
-    }
-    for (usize i = 0; i < managers.size(); ++i) {
-      rtFor(i).awaitDone([&](std::function<void()> done) {
-        managers[i]->start();
-        done();
-      });
-    }
-
-    core::DharmaConfig cfg;
-    cfg.cacheEnabled = cacheOn;
-    cfg.metrics = &registry;
-    if (tracesOn) cfg.traces = &traces;
-    client = std::make_unique<core::DharmaClient>(rt0(), *nodes[0], cfg);
-    return true;
-  }
-
-  /// Builds the sampler (always, so `stats-json` and the /stats "samples"
-  /// ring work). The collect hook starts as the engine sync alone; main()
-  /// swaps in a combined hook (engine + gateway counters) once the HTTP
-  /// server exists, BEFORE startSamplerTick — no tick runs in between.
-  void createSampler(u64 intervalMs, const std::string& outPath, u64 seed) {
-    obs::SamplerConfig sc;
-    sc.intervalUs = (intervalMs == 0 ? 1000 : intervalMs) * 1000;
-    sc.seed = seed;
-    // The sampler ticks on shard 0 — where nodes[0] and the client live,
-    // so its collect hook reads their counters with the right affinity.
-    sampler = std::make_unique<obs::MetricsSampler>(execs.shard(0), registry,
-                                                    sc);
-    sampler->setCollect([this] { syncEngineOnLoop(); });
-    if (!outPath.empty()) {
-      metricsOut = std::make_shared<std::ofstream>(outPath,
-                                                   std::ios::out |
-                                                       std::ios::trunc);
-      if (!*metricsOut) {
-        std::cout << "ERR cannot open --metrics-out '" << outPath << "'\n";
-        metricsOut.reset();
-      } else {
-        sampler->addSink([out = metricsOut](const obs::Sample& sample) {
-          *out << sample.toJson() << "\n";
-          out->flush();
-        });
-      }
-    }
-  }
-
-  void startSamplerTick(u64 intervalMs) {
-    if (intervalMs == 0) return;
-    rt0().awaitDone([&](std::function<void()> done) {
-      sampler->start();
-      done();
-    });
-  }
-};
 
 /// Splits "ip:port" (port may be 0). Returns false on malformed input.
 bool splitHostPort(const std::string& spec, std::string& host, u16& port) {
@@ -295,31 +67,10 @@ int main(int argc, char** argv) {
 
   Options opts(argc, argv);
   std::string bindSpec = opts.getString("bind", "127.0.0.1:8080");
-  std::string joinSpec = opts.getString("join", "");
-  usize n = static_cast<usize>(opts.getInt("nodes", 1));
   usize workers = static_cast<usize>(opts.getInt("workers", 4));
   bool cacheOn = opts.getBool("cache", true);
-  usize joinRetries = static_cast<usize>(opts.getInt("join-retries", 5));
-  net::TimeUs rpcTimeoutUs =
-      static_cast<net::TimeUs>(opts.getInt("rpc-timeout-ms", 1500)) * 1000;
-  u64 statsIntervalMs = static_cast<u64>(opts.getInt("stats-interval-ms", 0));
-  std::string metricsOutPath = opts.getString("metrics-out", "");
-  bool tracesOn = opts.getBool("traces", true);
-  usize shards = static_cast<usize>(opts.getInt("shards", 1));
-  std::string backendName =
-      opts.getString("net-backend", net::netBackendName(net::defaultNetBackend()));
-  auto backend = net::parseNetBackend(backendName);
-  if (!backend || !net::netBackendAvailable(*backend)) {
-    std::cerr << "bad --net-backend '" << backendName
-              << "' (want: poll" << (net::netBackendAvailable(net::NetBackend::kEpoll)
-                                         ? " | epoll" : "")
-              << ")\n";
-    return 2;
-  }
-  if (n == 0 || shards == 0) {
-    std::cerr << "--nodes and --shards must be >= 1\n";
-    return 2;
-  }
+  auto flags = daemon::readHostFlags(opts, 1);
+  if (!flags) return 2;
 
   std::string httpHost;
   u16 httpPort = 0;
@@ -329,34 +80,17 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Same graceful-stop plumbing as dharma_node: block before threads
-  // spawn, no SA_RESTART so a signal interrupts the stdin read, unblock
-  // once boot is done.
-  sigset_t stopSet;
-  sigemptyset(&stopSet);
-  sigaddset(&stopSet, SIGTERM);
-  sigaddset(&stopSet, SIGINT);
-  pthread_sigmask(SIG_BLOCK, &stopSet, nullptr);
-  struct sigaction sa{};
-  sa.sa_handler = onStopSignal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
+  daemon::HostSpec spec;
+  spec.idPrefix = "gw-";
+  spec.nodeSeed = 0xA000;
+  spec.managerSeed = 0x7A00;
+  spec.samplerSeed = 0xCAFE;
+  spec.clientCfg.cacheEnabled = cacheOn;
 
-  std::unique_ptr<Daemon> daemon;
-  try {
-    // The overlay's UDP sockets bind the same host as the HTTP listener.
-    daemon = std::make_unique<Daemon>(httpHost, shards, *backend);
-    daemon->tracesOn = tracesOn;
-    if (!daemon->boot(n, joinSpec, cacheOn, joinRetries, rpcTimeoutUs)) {
-      return 2;
-    }
-  } catch (const net::TransportError& e) {
-    std::cerr << "ERR startup (" << e.kindName() << "): " << e.what() << "\n";
-    return 2;
-  }
-  Daemon& d = *daemon;
+  // The overlay's UDP sockets bind the same host as the HTTP listener.
+  auto host = daemon::DaemonHost::start(httpHost, *flags, spec);
+  if (!host) return 2;
+  daemon::DaemonHost& d = *host;
 
   gateway::GatewayConfig gwCfg;
   gwCfg.bindHost = httpHost == "localhost" ? std::string("127.0.0.1")
@@ -367,36 +101,26 @@ int main(int argc, char** argv) {
   gateway::GatewayServer::Deps deps;
   deps.client = d.client.get();
   // Both taps run on gateway worker threads: engine loop-thread state is
-  // read via rt.awaitDone (post + wait), exactly like the line-protocol
-  // stats command; UdpTransport::stats() is internally synchronized.
+  // read via rt.awaitDone (post + wait), exactly like dharma_node's `stats`
+  // command; the transport's stats() is internally synchronized.
   deps.engineStatsJson = [&d]() -> std::string {
-    core::DharmaClient::Counters cc;
-    core::OpCost cost;
-    dht::NodeCounters nc;
-    cache::CacheStats cs;
-    usize rtSize = 0;
-    d.rt0().awaitDone([&](std::function<void()> done) {
-      cc = d.client->counters();
-      cost = d.client->totalCost();
-      nc = d.nodes[0]->counters();
-      cs = d.client->cacheStats();
-      rtSize = d.nodes[0]->routing().size();
-      done();
-    });
-    net::UdpStats us = d.transport->stats();
+    const daemon::DaemonHost::EngineCounters e = d.readEngine();
     std::ostringstream out;
-    out << "{\"ops\":" << cc.ops << ",\"failures\":" << cc.failures
-        << ",\"retries\":" << cc.retries << ",\"lookups\":" << cost.lookups
-        << ",\"servedFromCache\":" << cost.servedFromCache
-        << ",\"routingTable\":" << rtSize
-        << ",\"nodeCacheHits\":" << nc.cacheHits
-        << ",\"storesDeduplicated\":" << nc.storesDeduplicated
-        << ",\"clientCache\":{\"hits\":" << cs.hits
-        << ",\"misses\":" << cs.misses << ",\"evictions\":" << cs.evictions
-        << ",\"invalidations\":" << cs.invalidations << "}"
-        << ",\"udp\":{\"sent\":" << us.sent << ",\"received\":" << us.received
-        << ",\"bytesSent\":" << us.bytesSent
-        << ",\"sendErrors\":" << us.sendErrors << "}}";
+    out << "{\"ops\":" << e.client.ops << ",\"failures\":" << e.client.failures
+        << ",\"retries\":" << e.client.retries
+        << ",\"lookups\":" << e.cost.lookups
+        << ",\"servedFromCache\":" << e.cost.servedFromCache
+        << ",\"routingTable\":" << e.routingTable
+        << ",\"nodeCacheHits\":" << e.node.cacheHits
+        << ",\"storesDeduplicated\":" << e.node.storesDeduplicated
+        << ",\"clientCache\":{\"hits\":" << e.cache.hits
+        << ",\"misses\":" << e.cache.misses
+        << ",\"evictions\":" << e.cache.evictions
+        << ",\"invalidations\":" << e.cache.invalidations << "}"
+        << ",\"udp\":{\"sent\":" << e.udp.sent
+        << ",\"received\":" << e.udp.received
+        << ",\"bytesSent\":" << e.udp.bytesSent
+        << ",\"sendErrors\":" << e.udp.sendErrors << "}}";
     return out.str();
   };
   deps.collectEngine = [&d] {
@@ -405,10 +129,9 @@ int main(int argc, char** argv) {
       done();
     });
   };
-  d.createSampler(statsIntervalMs, metricsOutPath, 0xCAFE);
   deps.metrics = &d.registry;
   deps.sampler = d.sampler.get();
-  if (tracesOn) deps.traces = &d.traces;
+  if (flags->tracesOn) deps.traces = &d.traces;
 
   gateway::GatewayServer server(gwCfg, deps);
   gateway::StartError se = server.start();
@@ -419,34 +142,16 @@ int main(int argc, char** argv) {
   }
 
   // Periodic samples must carry the gateway's own counters too, not just
-  // the engine's; swap in the combined collect hook before the first tick.
-  d.sampler->setCollect([&d, &server] {
-    d.syncEngineOnLoop();
-    server.publishMetrics();
-  });
-  d.startSamplerTick(statsIntervalMs);
+  // the engine's.
+  d.startSampler([&server] { server.publishMetrics(); });
 
   std::cout << "gateway listening on http://" << gwCfg.bindHost << ":"
             << server.port() << "\n";
-  std::cout << "gateway up: " << n << " node(s), " << workers
+  std::cout << "gateway up: " << flags->nodes << " node(s), " << workers
             << " worker(s), cache=" << (cacheOn ? "on" : "off")
             << "; type 'help' for commands\n";
-  pthread_sigmask(SIG_UNBLOCK, &stopSet, nullptr);
 
-  bool anyError = false;
-  auto fail = [&](const std::string& what) {
-    anyError = true;
-    std::cout << "ERR " << what << "\n";
-  };
-
-  std::string line;
-  while (g_stopSignal == 0 && std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string cmd;
-    in >> cmd;
-    if (cmd.empty() || cmd[0] == '#') continue;
-    if (cmd == "quit" || cmd == "exit") break;
-
+  d.serveCommands([&server](const std::string& cmd, std::istringstream&) {
     if (cmd == "help") {
       std::cout << "OK commands: stats | stats-json | trace | quit (the API "
                    "is HTTP: /resources/{r}, /search, /resolve/{r}, /stats, "
@@ -461,38 +166,14 @@ int main(int argc, char** argv) {
                 << " overload=" << g.overloadRejected
                 << " drain=" << g.drainRejected << " bytesin=" << g.bytesIn
                 << " bytesout=" << g.bytesOut << "\n";
-    } else if (cmd == "stats-json") {
-      std::string json = core::awaitResult<std::string>(
-          d.rt0(), [&](std::function<void(std::string)> done) {
-            d.syncEngineOnLoop();
-            done(d.sampler->sampleNow().toJson());
-          });
-      std::cout << "OK stats-json " << json << "\n";
-    } else if (cmd == "trace") {
-      if (!tracesOn) {
-        fail("tracing disabled (--traces off)");
-      } else {
-        std::cout << "OK trace " << d.traces.renderJson(16) << "\n";
-      }
     } else {
-      fail("unknown command '" + cmd + "' (try 'help')");
+      return false;
     }
-  }
-
-  // See dharma_node.cpp: wait for a signal that interrupted the read but
-  // whose handler has not run yet (deferred under sanitizer runtimes).
-  if (g_stopSignal == 0 && std::cin.fail() && !std::feof(stdin)) {
-    for (int i = 0; i < 200 && g_stopSignal == 0; ++i) ::usleep(10'000);
-  }
-
-  if (g_stopSignal != 0) {
-    std::cout << "OK shutdown signal="
-              << (g_stopSignal == SIGTERM ? "term" : "int") << "\n";
-  }
+    return true;
+  });
 
   // Drain BEFORE the engine goes away: in-flight handlers block through
   // the runtime, so the executor must outlive the worker pool.
   server.stop();
-  std::cout << (anyError ? "done (with errors)\n" : "done\n");
-  return anyError ? 1 : 0;
+  return d.finish();
 }

@@ -24,7 +24,9 @@ trap cleanup EXIT
 
 # Hold the daemon's stdin open on a fifo so it keeps serving until we say
 # quit; port 0 lets the kernel pick, the banner tells us what it picked.
-"$GATEWAY_BIN" --bind 127.0.0.1:0 --nodes 2 <"$FIFO" >"$LOG" &
+# Two nodes on two shards, so the boot runs a cross-shard join and starts
+# a maintenance manager on each shard.
+"$GATEWAY_BIN" --bind 127.0.0.1:0 --nodes 2 --shards 2 <"$FIFO" >"$LOG" &
 GW_PID=$!
 exec 3>"$FIFO"
 

@@ -110,9 +110,8 @@ HttpResponse jsonError(u16 status, std::string_view token,
 template <typename T>
 HttpResponse opErrorResponse(const core::Outcome<T>& o) {
   core::OpError e = o.error();
-  HttpResponse r = jsonError(httpStatusFor(e), opErrorToken(e),
-                             core::opErrorName(e));
-  return r;
+  return jsonError(httpStatusFor(e), core::opErrorName(e),
+                   core::opErrorName(e));
 }
 
 }  // namespace
@@ -131,16 +130,6 @@ const char* startErrorName(StartError e) {
 
 u16 httpStatusFor(core::OpError e) {
   return e == core::OpError::kNotFound ? 404 : 503;
-}
-
-const char* opErrorToken(core::OpError e) {
-  switch (e) {
-    case core::OpError::kNotFound: return "not-found";
-    case core::OpError::kQuorumFailed: return "quorum-failed";
-    case core::OpError::kTimeout: return "timeout";
-    case core::OpError::kNodeOffline: return "node-offline";
-  }
-  return "unknown";
 }
 
 std::string errorBody(std::string_view token, std::string_view detail) {

@@ -252,11 +252,8 @@ class GatewayServer {
 };
 
 /// Maps an OpError onto its HTTP status (404 for kNotFound, 503 for the
-/// availability failures) — the error-body token is opErrorToken().
+/// availability failures) — the error-body token is core::opErrorName().
 u16 httpStatusFor(core::OpError e);
-
-/// Stable lower-kebab token for the JSON error body ("not-found", ...).
-const char* opErrorToken(core::OpError e);
 
 /// {"error":"<token>","detail":"<detail>"} with proper escaping.
 std::string errorBody(std::string_view token, std::string_view detail);

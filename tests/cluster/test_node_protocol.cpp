@@ -6,9 +6,13 @@
 /// input rejection, exit-code accounting, and the SIGTERM graceful-stop
 /// contract — all of it the surface the cluster harness (and any operator
 /// script) depends on. The daemon under test is the installed binary, not
-/// a stub: these are the repo's smallest real-process tests.
+/// a stub: these are the repo's smallest real-process tests. Where
+/// dharma_gateway shares the contract through the same daemon host (stop
+/// signals, the mirrored stats-json families), it runs the same checks.
 
 #include <csignal>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,9 @@
 
 #ifndef DHARMA_NODE_BIN
 #error "build must define DHARMA_NODE_BIN (path to the dharma_node binary)"
+#endif
+#ifndef DHARMA_GATEWAY_BIN
+#error "build must define DHARMA_GATEWAY_BIN (path to dharma_gateway)"
 #endif
 
 namespace dharma::cluster {
@@ -208,17 +215,39 @@ TEST_F(NodeProtocolTest, SigintIsAGracefulStop) {
   EXPECT_EQ(es->code, 0);
 }
 
-/// A SIGINT sent the moment the daemon announces "cluster up", with no
-/// input on stdin at all, still stops it: the handler wakes the command
-/// loop instead of leaving it blocked until a next line that never comes.
+/// One daemon binary with the arguments that boot it and the line that
+/// announces it is up.
+struct DaemonCase {
+  const char* name;
+  const char* bin;
+  std::vector<std::string> args;
+  const char* upBanner;
+};
+
+void PrintTo(const DaemonCase& d, std::ostream* os) { *os << d.name; }
+
+const DaemonCase kDaemons[] = {
+    {"Node", DHARMA_NODE_BIN, {"--nodes", "1"}, "cluster up"},
+    {"Gateway", DHARMA_GATEWAY_BIN,
+     {"--bind", "127.0.0.1:0", "--nodes", "1"}, "gateway up"},
+};
+
+/// Its cases print as Daemons/NodeProtocolBoot.*, a suite apart from the
+/// plain NodeProtocolBoot tests below.
+class NodeProtocolBoot : public ::testing::TestWithParam<DaemonCase> {};
+
+/// A SIGINT sent the moment the daemon announces it is up, with no input
+/// on stdin at all, still stops it: the handler wakes the command loop
+/// instead of leaving it blocked until a next line that never comes.
 /// Twenty spawns, because the window between the loop's stop check and its
 /// wait is narrow.
-TEST(NodeProtocolBoot, SigintRightAfterBootIsAGracefulStop) {
+TEST_P(NodeProtocolBoot, SigintRightAfterBootIsAGracefulStop) {
   std::signal(SIGPIPE, SIG_IGN);
+  const DaemonCase& d = GetParam();
   for (int run = 0; run < 20; ++run) {
     NodeProcess p;
-    ASSERT_TRUE(p.spawn(DHARMA_NODE_BIN, {"--nodes", "1"}));
-    ASSERT_TRUE(p.readLineWithPrefix("cluster up", kBootMs).has_value())
+    ASSERT_TRUE(p.spawn(d.bin, d.args));
+    ASSERT_TRUE(p.readLineWithPrefix(d.upBanner, kBootMs).has_value())
         << "run " << run;
     ASSERT_TRUE(p.signal(SIGINT));
     auto bye = p.readLineWithPrefix("OK shutdown", 5000);
@@ -229,6 +258,83 @@ TEST(NodeProtocolBoot, SigintRightAfterBootIsAGracefulStop) {
     EXPECT_TRUE(es->exited) << "run " << run;
     EXPECT_EQ(es->code, 0) << "run " << run;
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Daemons, NodeProtocolBoot, ::testing::ValuesIn(kDaemons),
+    [](const ::testing::TestParamInfo<DaemonCase>& info) {
+      return std::string(info.param.name);
+    });
+
+/// The engine counters both daemons mirror into their metrics registry:
+/// the client's, node 0's and the datagram transport's.
+constexpr const char* kMirroredFamilies[] = {
+    "dharma_client_ops_total",
+    "dharma_client_failures_total",
+    "dharma_client_lookups_total",
+    "dharma_client_cache_hits_total",
+    "dharma_client_cache_misses_total",
+    "dharma_node_cache_hits_total",
+    "dharma_node_stores_deduplicated_total",
+    "dharma_node_rpcs_sent_total",
+    "dharma_node_timeouts_total",
+    "dharma_udp_datagrams_sent_total",
+    "dharma_udp_datagrams_received_total",
+    "dharma_udp_bytes_sent_total",
+};
+
+/// Value of \p family inside the "counters" object of a stats-json reply,
+/// or nullopt when the family is absent.
+std::optional<u64> jsonCounter(const std::string& json,
+                               const std::string& family) {
+  const usize begin = json.find("\"counters\":{");
+  const usize end = json.find("},\"deltas\":{", begin);
+  if (begin == std::string::npos || end == std::string::npos) {
+    return std::nullopt;
+  }
+  const std::string key = "\"" + family + "\":";
+  const usize at = json.find(key, begin);
+  if (at == std::string::npos || at > end) return std::nullopt;
+  return std::stoull(json.substr(at + key.size()));
+}
+
+/// Both daemons' stats-json carries every mirrored engine family, and the
+/// node daemon's op count agrees with its raw `stats` line.
+TEST(DaemonStatsJson, CarriesEveryMirroredFamily) {
+  std::signal(SIGPIPE, SIG_IGN);
+  NodeProcess node;
+  ASSERT_TRUE(node.spawn(DHARMA_NODE_BIN, {"--nodes", "2"}));
+  ASSERT_TRUE(node.readLineWithPrefix("cluster up", kBootMs).has_value());
+  std::string ins = node.command("insert song-m uri://song-m rock", kCmdMs)
+                        .value_or("");
+  ASSERT_EQ(ins.rfind("OK inserted song-m", 0), 0u) << ins;
+  std::string json = node.command("stats-json", kCmdMs).value_or("");
+  ASSERT_EQ(json.rfind("OK stats-json ", 0), 0u) << json;
+  for (const char* family : kMirroredFamilies) {
+    EXPECT_TRUE(jsonCounter(json, family).has_value())
+        << "node stats-json missing " << family << ": " << json;
+  }
+  std::string stats = node.command("stats", kCmdMs).value_or("");
+  const usize ops = stats.find(" ops=");
+  ASSERT_NE(ops, std::string::npos) << stats;
+  EXPECT_EQ(jsonCounter(json, "dharma_client_ops_total"),
+            std::stoull(stats.substr(ops + 5)))
+      << json << "\n" << stats;
+  node.sendLine("quit");
+  node.wait(5000);
+
+  NodeProcess gw;
+  ASSERT_TRUE(gw.spawn(DHARMA_GATEWAY_BIN,
+                       {"--bind", "127.0.0.1:0", "--nodes", "2"}));
+  ASSERT_TRUE(gw.readLineWithPrefix("gateway up", kBootMs).has_value());
+  std::string gwJson = gw.command("stats-json", kCmdMs).value_or("");
+  ASSERT_EQ(gwJson.rfind("OK stats-json ", 0), 0u) << gwJson;
+  for (const char* family : kMirroredFamilies) {
+    EXPECT_TRUE(jsonCounter(gwJson, family).has_value())
+        << "gateway stats-json missing " << family << ": " << gwJson;
+  }
+  gw.sendLine("quit");
+  gw.wait(5000);
 }
 
 /// Boot-time flags outside the fixture: bad --drop-peers must be a
