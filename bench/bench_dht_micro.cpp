@@ -9,6 +9,8 @@
 #include "core/client.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/identity.hpp"
+#include "dht/routing_table.hpp"
+#include "dht/rpc.hpp"
 #include "folksonomy/derive.hpp"
 #include "workload/dataset.hpp"
 
@@ -200,6 +202,41 @@ void BM_VerifyContent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyContent)->Arg(22);
+
+// ---------------------------------------------------------------------------
+// k-closest path. Every FIND_NODE/FIND_VALUE answer picks the k contacts
+// closest to a key and encodes them; every lookup starts the same way. The
+// table is node 0's after bootstrapping a 64-node overlay (bucket cap
+// k = 20).
+// ---------------------------------------------------------------------------
+
+void BM_RoutingTableClosest(benchmark::State& state) {
+  const usize k = static_cast<usize>(state.range(0));
+  auto net = makeOverlay(64);
+  const dht::RoutingTable& rt = net->node(0).routing();
+  Rng rng(7);
+  std::vector<dht::NodeId> targets;
+  for (int i = 0; i < 4096; ++i) targets.push_back(dht::NodeId::random(rng));
+  usize i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rt.closest(targets[i++ % targets.size()], k));
+  }
+  state.counters["contacts"] = static_cast<double>(rt.size());
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_RoutingTableClosest)->Arg(20);
+
+void BM_ContactsReplyEncode(benchmark::State& state) {
+  dht::ContactsReply rep;
+  for (i64 i = 0; i < state.range(0); ++i) {
+    rep.contacts.push_back(dht::Contact{
+        dht::NodeId::fromString("micro-peer-" + std::to_string(i)),
+        net::makeAddress(0x7F000001u, static_cast<u16>(7000 + i))});
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(rep.encode());
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
+}
+BENCHMARK(BM_ContactsReplyEncode)->Arg(20);
 
 // ---------------------------------------------------------------------------
 // Simulator hot path. Every simulated RPC costs ~3 events (send, deliver,

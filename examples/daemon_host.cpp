@@ -5,6 +5,7 @@
 #include "daemon_host.hpp"
 
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstring>
 #include <iostream>
@@ -116,19 +117,47 @@ class StdinLines {
 
 }  // namespace
 
+std::optional<u64> readCountFlag(const Options& opts, const std::string& key,
+                                 u64 fallback) {
+  const std::string v = opts.getString(key, "");
+  if (v.empty()) return fallback;
+  u64 out = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec != std::errc{} || end != v.data() + v.size()) {
+    std::cerr << "bad --" << key << " '" << v
+              << "' (want a non-negative integer)\n";
+    return std::nullopt;
+  }
+  return out;
+}
+
 std::optional<HostFlags> readHostFlags(const Options& opts,
                                        usize defaultNodes) {
+  // Short-circuit: the first bad value is the one error line.
+  auto count = [&opts](const char* key, u64 fallback, u64& out) {
+    const auto v = readCountFlag(opts, key, fallback);
+    if (v) out = *v;
+    return v.has_value();
+  };
+  u64 nodes = 0;
+  u64 joinRetries = 0;
+  u64 rpcTimeoutMs = 0;
+  u64 shards = 0;
   HostFlags f;
-  f.nodes = static_cast<usize>(
-      opts.getInt("nodes", static_cast<i64>(defaultNodes)));
+  if (!count("nodes", defaultNodes, nodes) ||
+      !count("join-retries", 5, joinRetries) ||
+      !count("rpc-timeout-ms", 1500, rpcTimeoutMs) ||
+      !count("stats-interval-ms", 0, f.statsIntervalMs) ||
+      !count("shards", 1, shards)) {
+    return std::nullopt;
+  }
+  f.nodes = static_cast<usize>(nodes);
   f.joinSpec = opts.getString("join", "");
-  f.joinRetries = static_cast<usize>(opts.getInt("join-retries", 5));
-  f.rpcTimeoutUs =
-      static_cast<net::TimeUs>(opts.getInt("rpc-timeout-ms", 1500)) * 1000;
-  f.statsIntervalMs = static_cast<u64>(opts.getInt("stats-interval-ms", 0));
+  f.joinRetries = static_cast<usize>(joinRetries);
+  f.rpcTimeoutUs = static_cast<net::TimeUs>(rpcTimeoutMs) * 1000;
   f.metricsOutPath = opts.getString("metrics-out", "");
   f.tracesOn = opts.getBool("traces", true);
-  f.shards = static_cast<usize>(opts.getInt("shards", 1));
+  f.shards = static_cast<usize>(shards);
   std::string backendName = opts.getString(
       "net-backend", net::netBackendName(net::defaultNetBackend()));
   auto backend = net::parseNetBackend(backendName);

@@ -41,9 +41,17 @@ struct HostFlags {
   bool tracesOn = false;
 };
 
+/// Value of the integer flag --\p key: \p fallback when absent or bare,
+/// else a plain decimal integer >= 0. Nullopt after one line on stderr for
+/// anything else (a sign, trailing bytes, overflow); the daemon then
+/// exits 2.
+std::optional<u64> readCountFlag(const Options& opts, const std::string& key,
+                                 u64 fallback);
+
 /// Reads the shared flags (--nodes defaults to \p defaultNodes). Nullopt
-/// after one line on stderr for an unusable --net-backend or a zero
-/// --nodes/--shards; the daemon then exits 2.
+/// after one line on stderr for an unusable --net-backend, a malformed or
+/// negative integer flag, or a zero --nodes/--shards; the daemon then
+/// exits 2.
 std::optional<HostFlags> readHostFlags(const Options& opts,
                                        usize defaultNodes);
 

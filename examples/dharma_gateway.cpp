@@ -67,7 +67,9 @@ int main(int argc, char** argv) {
 
   Options opts(argc, argv);
   std::string bindSpec = opts.getString("bind", "127.0.0.1:8080");
-  usize workers = static_cast<usize>(opts.getInt("workers", 4));
+  const auto workersFlag = daemon::readCountFlag(opts, "workers", 4);
+  if (!workersFlag) return 2;
+  const usize workers = static_cast<usize>(*workersFlag);
   bool cacheOn = opts.getBool("cache", true);
   auto flags = daemon::readHostFlags(opts, 1);
   if (!flags) return 2;

@@ -216,10 +216,15 @@ int main(int argc, char** argv) {
   spec.managerSeed = 0x7000;
   spec.samplerSeed = 0xD0DE;
   spec.maintenance = opts.getBool("maintenance", true);
+  const auto refreshMs = daemon::readCountFlag(opts, "refresh-ms", 30'000);
+  if (!refreshMs) return 2;
+  const auto republishMs =
+      daemon::readCountFlag(opts, "republish-ms", 60'000);
+  if (!republishMs) return 2;
   spec.maintenanceCfg.bucketRefreshIntervalUs =
-      static_cast<net::TimeUs>(opts.getInt("refresh-ms", 30'000)) * 1000;
+      static_cast<net::TimeUs>(*refreshMs) * 1000;
   spec.maintenanceCfg.republishIntervalUs =
-      static_cast<net::TimeUs>(opts.getInt("republish-ms", 60'000)) * 1000;
+      static_cast<net::TimeUs>(*republishMs) * 1000;
 
   auto host = daemon::DaemonHost::start(bindHost, *flags, spec);
   if (!host) return 2;

@@ -23,6 +23,7 @@ constexpr const char* kLookupKinds[] = {"node", "value"};
 
 struct Candidate {
   Contact contact;
+  Distance dist;  ///< XOR distance to the lookup target, the sort key
   CandState state = CandState::kFresh;
 };
 }  // namespace
@@ -59,26 +60,26 @@ struct KademliaNode::LookupTask {
     return std::find(holders.begin(), holders.end(), id) != holders.end();
   }
 
-  bool knows(const NodeId& id) const {
-    return std::any_of(candidates.begin(), candidates.end(),
-                       [&](const Candidate& c) { return c.contact.id == id; });
+  /// First candidate not closer to the target than \p d.
+  std::vector<Candidate>::iterator slotFor(const Distance& d) {
+    return std::lower_bound(
+        candidates.begin(), candidates.end(), d,
+        [](const Candidate& a, const Distance& b) { return a.dist < b; });
   }
 
+  /// Inserts \p c in distance order unless its id is already a candidate
+  /// (equal distance to the target means equal id).
   void addCandidate(const Contact& c) {
-    if (knows(c.id)) return;
-    auto pos = std::lower_bound(
-        candidates.begin(), candidates.end(), c,
-        [&](const Candidate& a, const Contact& b) {
-          return compareDistance(target, a.contact.id, b.id) < 0;
-        });
-    candidates.insert(pos, Candidate{c, CandState::kFresh});
+    const Distance d = distance(target, c.id);
+    auto pos = slotFor(d);
+    if (pos != candidates.end() && pos->dist == d) return;
+    candidates.insert(pos, Candidate{c, d, CandState::kFresh});
   }
 
   Candidate* find(const NodeId& id) {
-    for (auto& c : candidates) {
-      if (c.contact.id == id) return &c;
-    }
-    return nullptr;
+    const Distance d = distance(target, id);
+    auto pos = slotFor(d);
+    return pos != candidates.end() && pos->dist == d ? &*pos : nullptr;
   }
 };
 
@@ -203,19 +204,21 @@ void KademliaNode::recordPutApplied(const std::string& user, u64 putId,
   ++putSenders_[key.sender].refs;
 
   usize pos = 0;
-  if (seenPuts_.size() < kSeenPutCap) {
-    pos = seenPuts_.size();
-    seenPuts_.push_back(key);
-    if (2 * seenPuts_.size() > seenPutIndex_.size()) {
+  if (seenPutCount_ < kSeenPutCap) {
+    pos = seenPutCount_++;
+    auto& block = seenPutBlocks_[pos / kSeenPutBlock];
+    if (!block) block = std::make_unique<PutKey[]>(kSeenPutBlock);
+    seenPut(pos) = key;
+    if (2 * seenPutCount_ > seenPutIndex_.size()) {
       reindexSeenPuts(std::max<usize>(16, 2 * seenPutIndex_.size()));
       return;
     }
   } else {
     // Window full: the new chunk takes the oldest chunk's ring position.
     pos = seenPutHead_;
-    unindexSeenPut(seenPutSlot(seenPuts_[pos]));
-    releasePutSender(seenPuts_[pos].sender);
-    seenPuts_[pos] = key;
+    unindexSeenPut(seenPutSlot(seenPut(pos)));
+    releasePutSender(seenPut(pos).sender);
+    seenPut(pos) = key;
     seenPutHead_ = (pos + 1) % kSeenPutCap;
   }
   seenPutIndex_[seenPutSlot(key)] = static_cast<u16>(pos + 1);
@@ -224,7 +227,7 @@ void KademliaNode::recordPutApplied(const std::string& user, u64 putId,
 usize KademliaNode::seenPutSlot(const PutKey& key) const {
   const usize mask = seenPutIndex_.size() - 1;
   usize i = key.hash() & mask;
-  while (seenPutIndex_[i] != 0 && !(seenPuts_[seenPutIndex_[i] - 1] == key)) {
+  while (seenPutIndex_[i] != 0 && !(seenPut(seenPutIndex_[i] - 1) == key)) {
     i = (i + 1) & mask;
   }
   return i;
@@ -236,7 +239,7 @@ void KademliaNode::unindexSeenPut(usize hole) {
   const usize mask = seenPutIndex_.size() - 1;
   seenPutIndex_[hole] = 0;
   for (usize i = (hole + 1) & mask; seenPutIndex_[i] != 0; i = (i + 1) & mask) {
-    usize home = seenPuts_[seenPutIndex_[i] - 1].hash() & mask;
+    usize home = seenPut(seenPutIndex_[i] - 1).hash() & mask;
     if (((i - home) & mask) >= ((i - hole) & mask)) {
       seenPutIndex_[hole] = seenPutIndex_[i];
       seenPutIndex_[i] = 0;
@@ -255,8 +258,8 @@ void KademliaNode::releasePutSender(u32 sender) {
 
 void KademliaNode::reindexSeenPuts(usize capacity) {
   seenPutIndex_.assign(capacity, 0);
-  for (usize p = 0; p < seenPuts_.size(); ++p) {
-    seenPutIndex_[seenPutSlot(seenPuts_[p])] = static_cast<u16>(p + 1);
+  for (usize p = 0; p < seenPutCount_; ++p) {
+    seenPutIndex_[seenPutSlot(seenPut(p))] = static_cast<u16>(p + 1);
   }
 }
 

@@ -311,7 +311,16 @@ class KademliaNode {
     const std::string* user = nullptr;  ///< key inside putSenderSlots_
     u32 refs = 0;                       ///< window entries naming it
   };
-  std::vector<PutKey> seenPuts_;
+  /// Ring storage, allocated block by block as the window first fills (a
+  /// doubling vector would hold up to twice the live entries on every node
+  /// whose window is still filling). Ring position p lives at
+  /// seenPutBlocks_[p / kSeenPutBlock][p % kSeenPutBlock].
+  static constexpr usize kSeenPutBlock = 512;
+  static_assert(kSeenPutCap % kSeenPutBlock == 0,
+                "the ring is a whole number of blocks");
+  std::array<std::unique_ptr<PutKey[]>, kSeenPutCap / kSeenPutBlock>
+      seenPutBlocks_;
+  usize seenPutCount_ = 0;  ///< ring positions in use (≤ kSeenPutCap)
   usize seenPutHead_ = 0;
   std::vector<u16> seenPutIndex_;
   std::unordered_map<std::string, u32> putSenderSlots_;
@@ -319,6 +328,12 @@ class KademliaNode {
   std::vector<u32> freePutSenders_;
 
   static_assert(kSeenPutCap < 0xFFFF, "ring positions must fit the u16 index");
+  PutKey& seenPut(usize pos) {
+    return seenPutBlocks_[pos / kSeenPutBlock][pos % kSeenPutBlock];
+  }
+  const PutKey& seenPut(usize pos) const {
+    return seenPutBlocks_[pos / kSeenPutBlock][pos % kSeenPutBlock];
+  }
   bool wasPutApplied(const std::string& user, u64 putId, u32 chunk) const;
   void recordPutApplied(const std::string& user, u64 putId, u32 chunk);
   /// Index slot holding \p key, else the empty slot where it would go.

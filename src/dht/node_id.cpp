@@ -20,26 +20,4 @@ NodeId xorDistance(const NodeId& a, const NodeId& b) {
   return d;
 }
 
-int bucketIndex(const NodeId& a, const NodeId& b) {
-  for (usize i = 0; i < 20; ++i) {
-    u8 x = a.bytes[i] ^ b.bytes[i];
-    if (x != 0) {
-      // Bit position within this byte, counting from the MSB of the id.
-      int msb = 7;
-      while (!((x >> msb) & 1)) --msb;
-      return static_cast<int>((19 - i) * 8 + static_cast<usize>(msb));
-    }
-  }
-  return -1;
-}
-
-int compareDistance(const NodeId& target, const NodeId& a, const NodeId& b) {
-  for (usize i = 0; i < 20; ++i) {
-    u8 da = a.bytes[i] ^ target.bytes[i];
-    u8 db = b.bytes[i] ^ target.bytes[i];
-    if (da != db) return da < db ? -1 : 1;
-  }
-  return 0;
-}
-
 }  // namespace dharma::dht

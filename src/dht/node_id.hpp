@@ -8,7 +8,9 @@
 /// (159 = differ in the top bit, 0 = differ only in the lowest bit).
 
 #include <array>
+#include <bit>
 #include <compare>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -62,17 +64,66 @@ struct NodeId {
 /// Bitwise XOR distance.
 NodeId xorDistance(const NodeId& a, const NodeId& b);
 
+/// XOR distance between two ids as a 160-bit integer, split into three
+/// big-endian words (bytes 0..7, 8..15, 16..19): comparing the words in
+/// that order compares the integers, so ordering by Distance is ordering by
+/// XOR distance. For a fixed target XOR is a bijection, so distinct ids
+/// always have distinct distances.
+struct Distance {
+  u64 hi = 0;
+  u64 mid = 0;
+  u32 lo = 0;
+
+  auto operator<=>(const Distance&) const = default;
+};
+
+namespace detail {
+template <typename T>
+T loadBigEndian(const u8* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  if constexpr (std::endian::native == std::endian::little) {
+    if constexpr (sizeof(T) == 8) {
+      v = __builtin_bswap64(v);
+    } else {
+      v = __builtin_bswap32(v);
+    }
+  }
+  return v;
+}
+}  // namespace detail
+
+/// |target ^ id| as a Distance.
+inline Distance distance(const NodeId& target, const NodeId& id) {
+  const u8* t = target.bytes.data();
+  const u8* i = id.bytes.data();
+  return Distance{
+      detail::loadBigEndian<u64>(t) ^ detail::loadBigEndian<u64>(i),
+      detail::loadBigEndian<u64>(t + 8) ^ detail::loadBigEndian<u64>(i + 8),
+      detail::loadBigEndian<u32>(t + 16) ^ detail::loadBigEndian<u32>(i + 16)};
+}
+
 /// Index of the most significant set bit of xorDistance(a, b), in
 /// [0, 159]; returns -1 when a == b.
-int bucketIndex(const NodeId& a, const NodeId& b);
+inline int bucketIndex(const NodeId& a, const NodeId& b) {
+  const Distance d = distance(a, b);
+  if (d.hi != 0) return 159 - std::countl_zero(d.hi);
+  if (d.mid != 0) return 95 - std::countl_zero(d.mid);
+  if (d.lo != 0) return 31 - std::countl_zero(d.lo);
+  return -1;
+}
 
 /// Three-way comparison of |a ^ target| vs |b ^ target|:
 /// negative if a is closer to target, 0 if equidistant, positive otherwise.
-int compareDistance(const NodeId& target, const NodeId& a, const NodeId& b);
+inline int compareDistance(const NodeId& target, const NodeId& a,
+                           const NodeId& b) {
+  const std::strong_ordering c = distance(target, a) <=> distance(target, b);
+  return c < 0 ? -1 : (c > 0 ? 1 : 0);
+}
 
 /// True if a is strictly closer to target than b.
 inline bool closerTo(const NodeId& target, const NodeId& a, const NodeId& b) {
-  return compareDistance(target, a, b) < 0;
+  return distance(target, a) < distance(target, b);
 }
 
 /// Hash functor so NodeId can key unordered containers.

@@ -45,18 +45,41 @@ bool RoutingTable::contains(const NodeId& id) const {
 }
 
 std::vector<Contact> RoutingTable::closest(const NodeId& target, usize n) const {
-  std::vector<Contact> all;
-  all.reserve(size());
-  for (const auto& b : buckets_) {
-    all.insert(all.end(), b.entries().begin(), b.entries().end());
+  // Bucket j holds the contacts whose distance from self has its top bit
+  // at j, so their distance from the target falls in a band fixed by j and
+  // the target's own bucket b: bucket b is closest (below 2^b), buckets
+  // 0..b-1 together come next (all in [2^b, 2^(b+1))), then each bucket
+  // j > b alone ([2^j, 2^(j+1))). Walk the bands in that order, sort only
+  // within a band, and stop once n contacts are in hand.
+  std::vector<Contact> out;
+  if (n == 0) return out;
+  out.reserve(std::min(n, size()));
+  auto closer = [&target](const Contact& a, const Contact& b) {
+    return distance(target, a.id) < distance(target, b.id);
+  };
+  // Appends buckets [first, last) as one band; true once n are in hand.
+  auto band = [&](int first, int last) {
+    const usize start = out.size();
+    for (int j = first; j < last; ++j) {
+      const auto& e = buckets_[static_cast<usize>(j)].entries();
+      out.insert(out.end(), e.begin(), e.end());
+    }
+    auto from = out.begin() + static_cast<long>(start);
+    if (out.size() > n) {
+      std::partial_sort(from, out.begin() + static_cast<long>(n), out.end(),
+                        closer);
+      out.resize(n);
+    } else {
+      std::sort(from, out.end(), closer);
+    }
+    return out.size() == n;
+  };
+  const int b = indexFor(target);  // -1 when target == self
+  if (b >= 0 && (band(b, b + 1) || band(0, b))) return out;
+  for (int j = b + 1; j < 160; ++j) {
+    if (band(j, j + 1)) break;
   }
-  usize take = std::min(n, all.size());
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(take), all.end(),
-                    [&](const Contact& a, const Contact& b) {
-                      return compareDistance(target, a.id, b.id) < 0;
-                    });
-  all.resize(take);
-  return all;
+  return out;
 }
 
 NodeId RoutingTable::randomIdInBucket(usize bucket, Rng& rng) const {

@@ -16,9 +16,21 @@ usize checkedCount(const ByteReader& r, u64 n, usize minBytesPerElement) {
   return static_cast<usize>(n);
 }
 
-/// Smallest wire footprint of one Contact: a 20-byte NodeId + u32 IPv4 +
-/// u16 port.
-constexpr usize kMinContactBytes = 26;
+/// Wire footprint of one Contact: a 20-byte NodeId + u32 IPv4 + u16 port.
+constexpr usize kContactBytes = 26;
+
+/// Exact encoded size of a varint-counted contact list.
+usize contactsBytes(const std::vector<Contact>& contacts) {
+  return ByteWriter::varintSize(contacts.size()) +
+         contacts.size() * kContactBytes;
+}
+
+/// Exact encoded size of writeCredential(c).
+usize credentialBytes(const crypto::Credential& c) {
+  return ByteWriter::varintSize(c.userId.size()) + c.userId.size() +
+         c.nodeId.size() + sizeof(c.expiresAt) + c.mac.size();
+}
+
 /// Smallest BlockEntry: 1-byte name length (empty) + 1-byte weight varint.
 constexpr usize kMinBlockEntryBytes = 2;
 /// Smallest StoreToken: kind + entry length + delta + payload length.
@@ -95,6 +107,8 @@ BlockView readBlockView(ByteReader& r) {
 
 std::vector<u8> Envelope::encode() const {
   ByteWriter w;
+  w.reserve(3 + sizeof(rpcId) + kContactBytes + credentialBytes(credential) +
+            ByteWriter::varintSize(body.size()) + body.size());
   w.writeU8(kWireMagic);
   w.writeU8(kWireVersion);
   w.writeU8(static_cast<u8>(type));
@@ -142,6 +156,7 @@ FindNodeReq FindNodeReq::decode(ByteReader& r) {
 
 std::vector<u8> ContactsReply::encode() const {
   ByteWriter w;
+  w.reserve(contactsBytes(contacts));
   w.writeVarint(contacts.size());
   for (const auto& c : contacts) writeContact(w, c);
   return w.take();
@@ -149,7 +164,7 @@ std::vector<u8> ContactsReply::encode() const {
 
 ContactsReply ContactsReply::decode(ByteReader& r) {
   ContactsReply rep;
-  usize n = checkedCount(r, r.readVarint(), kMinContactBytes);
+  usize n = checkedCount(r, r.readVarint(), kContactBytes);
   rep.contacts.reserve(n);
   for (usize i = 0; i < n; ++i) rep.contacts.push_back(readContact(r));
   return rep;
@@ -175,6 +190,7 @@ FindValueReq FindValueReq::decode(ByteReader& r) {
 
 std::vector<u8> FindValueReply::encode() const {
   ByteWriter w;
+  if (!found) w.reserve(1 + contactsBytes(contacts));
   w.writeU8(found ? 1 : 0);
   if (found) {
     w.writeU8(cached ? 1 : 0);
@@ -193,7 +209,7 @@ FindValueReply FindValueReply::decode(ByteReader& r) {
     rep.cached = r.readU8() != 0;
     rep.view = readBlockView(r);
   } else {
-    usize n = checkedCount(r, r.readVarint(), kMinContactBytes);
+    usize n = checkedCount(r, r.readVarint(), kContactBytes);
     rep.contacts.reserve(n);
     for (usize i = 0; i < n; ++i) rep.contacts.push_back(readContact(r));
   }

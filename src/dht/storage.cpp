@@ -1,6 +1,7 @@
 #include "dht/storage.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace dharma::dht {
 
@@ -83,33 +84,49 @@ void BlockView::trim(const GetOptions& opt) {
   }
 }
 
+namespace {
+/// The state-free half of BlockStore::apply's contract: a non-empty entry
+/// for every entry-naming kind, and a non-zero delta where the delta is
+/// always added.
+bool wellFormed(const StoreToken& t) {
+  switch (t.kind) {
+    case TokenKind::kIncrement:
+    case TokenKind::kMergeMax:
+      return !t.entry.empty() && t.delta != 0;
+    case TokenKind::kIncrementIfNewB:
+      return !t.entry.empty();
+    case TokenKind::kSetPayload:
+    case TokenKind::kTouch:
+      return true;
+  }
+  return false;
+}
+
+/// True if applying \p t leaves its entry present in the block.
+bool namesEntry(const StoreToken& t) {
+  return t.kind == TokenKind::kIncrement ||
+         t.kind == TokenKind::kIncrementIfNewB ||
+         t.kind == TokenKind::kMergeMax;
+}
+}  // namespace
+
 bool BlockStore::apply(const NodeId& key, const StoreToken& token,
                        net::SimTime now) {
+  if (!wellFormed(token)) return false;
+  Block& b = blocks_[key];  // default-construct if absent
   switch (token.kind) {
-    case TokenKind::kIncrement: {
-      if (token.entry.empty() || token.delta == 0) return false;
-      Block& b = blocks_[key];
+    case TokenKind::kIncrement:
       b.entries[token.entry] += token.delta;
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
       tokensApplied_ += token.delta;
-      return true;
-    }
-    case TokenKind::kSetPayload: {
-      Block& b = blocks_[key];
+      break;
+    case TokenKind::kSetPayload:
       b.payload = token.payload;
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
       ++tokensApplied_;
-      return true;
-    }
-    case TokenKind::kTouch: {
-      Block& b = blocks_[key];  // default-construct if absent
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
+      break;
+    case TokenKind::kTouch:
       ++tokensApplied_;
-      return true;
-    }
+      break;
     case TokenKind::kIncrementIfNewB: {
-      if (token.entry.empty()) return false;
-      Block& b = blocks_[key];
       auto [it, inserted] = b.entries.emplace(token.entry, 1);
       if (!inserted) {
         // Present-path: delta is a real increment and must be non-zero,
@@ -117,44 +134,46 @@ bool BlockStore::apply(const NodeId& key, const StoreToken& token,
         if (token.delta == 0) return false;
         it->second += token.delta;
       }
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
       tokensApplied_ += inserted ? 1 : token.delta;
-      return true;
+      break;
     }
     case TokenKind::kMergeMax: {
-      if (token.entry.empty() || token.delta == 0) return false;
-      Block& b = blocks_[key];
       u64& w = b.entries[token.entry];
       w = std::max(w, token.delta);
-      b.lastTouchedUs = std::max(b.lastTouchedUs, now);
       ++tokensApplied_;
-      return true;
+      break;
     }
   }
-  return false;
+  b.lastTouchedUs = std::max(b.lastTouchedUs, now);
+  return true;
 }
 
 bool BlockStore::applyAll(const NodeId& key,
                           const std::vector<StoreToken>& tokens,
                           net::SimTime now) {
   if (tokens.empty()) return false;
-  // Stage through apply(), restoring the pre-batch block (and the token
-  // counter) if any token is rejected: atomicity by rollback.
+  // Validate the whole batch, then apply it: a rejected batch never touches
+  // the block, so atomicity needs no copy to roll back to. Past the
+  // state-free checks, the one reject that depends on state is a delta-0
+  // kIncrementIfNewB meeting an entry that exists, either before the batch
+  // or from an earlier token of it.
   auto it = blocks_.find(key);
-  const bool existed = it != blocks_.end();
-  Block backup = existed ? it->second : Block{};
-  const u64 counterBackup = tokensApplied_;
-  bool ok = true;
-  for (const auto& t : tokens) ok = apply(key, t, now) && ok;
-  if (!ok) {
-    tokensApplied_ = counterBackup;
-    if (existed) {
-      blocks_[key] = std::move(backup);
-    } else {
-      blocks_.erase(key);
+  for (usize i = 0; i < tokens.size(); ++i) {
+    const StoreToken& t = tokens[i];
+    if (!wellFormed(t)) return false;
+    if (t.kind != TokenKind::kIncrementIfNewB || t.delta != 0) continue;
+    if (it != blocks_.end() && it->second.entries.count(t.entry) > 0) {
+      return false;
+    }
+    for (usize j = 0; j < i; ++j) {
+      if (namesEntry(tokens[j]) && tokens[j].entry == t.entry) return false;
     }
   }
-  return ok;
+  for (const auto& t : tokens) {
+    [[maybe_unused]] const bool applied = apply(key, t, now);
+    assert(applied && "applyAll validation must match apply");
+  }
+  return true;
 }
 
 std::optional<BlockView> BlockStore::query(const NodeId& key,

@@ -110,8 +110,8 @@ class BlockStore {
   /// malformed tokens (empty entry name or zero delta for increments).
   bool apply(const NodeId& key, const StoreToken& token, net::SimTime now);
 
-  /// Atomic batch apply: either every token lands or none does (a rejected
-  /// token rolls the block back). This is what makes the STORE replay
+  /// Atomic batch apply: either every token lands or none does (the batch
+  /// is validated before any token is applied). This is what makes the STORE replay
   /// dedup sound — "chunk applied" is all-or-nothing, so a deduped retry
   /// can never paper over a partially-applied batch. Empty batches are
   /// rejected.

@@ -91,6 +91,14 @@ class Connection {
   /// Peer half-closed its sending side; nothing more will be read.
   bool readClosed() const { return readClosed_; }
 
+  /// Keep-alive connection between requests: nothing in flight, queued,
+  /// left to write or partly received.
+  bool idle() const {
+    return !inFlight_ && pending_.empty() && !wantsWrite() &&
+           parser_.state() == ParseState::kRequestLine &&
+           parser_.buffered() == 0;
+  }
+
   /// True when the connection has nothing left to do and may be destroyed:
   /// close requested (or peer gone) with all writes flushed and no request
   /// still with a worker.

@@ -408,7 +408,10 @@ void GatewayServer::eventLoop() {
 
     // Reap connections with nothing left to do. A connection whose request
     // is still with a worker is left alive until its completion arrives.
+    // When draining, an idle keep-alive connection has nothing left to do
+    // either: close it rather than wait out the drain deadline.
     for (auto it = conns_.begin(); it != conns_.end();) {
+      if (draining && it->second->idle()) it->second->setCloseAfterDrain();
       if (it->second->drained()) {
         {
           MutexLock lk(statsMu_);

@@ -34,6 +34,20 @@ class ByteWriter {
 
   usize size() const { return buf_.size(); }
 
+  /// Pre-sizes the buffer for \p n more bytes, so an encoder that knows
+  /// its exact size allocates once.
+  void reserve(usize n) { buf_.reserve(buf_.size() + n); }
+
+  /// Bytes writeVarint(v) emits.
+  static usize varintSize(u64 v) {
+    usize n = 1;
+    while (v >= 0x80) {
+      v >>= 7;
+      ++n;
+    }
+    return n;
+  }
+
   void writeU8(u8 v) { buf_.push_back(v); }
   void writeU16(u16 v) { writeLE(v); }
   void writeU32(u32 v) { writeLE(v); }
@@ -56,10 +70,14 @@ class ByteWriter {
  private:
   std::vector<u8> buf_;
 
+  // One resize per integer rather than a push_back (and capacity check) per
+  // byte.
   template <typename T>
   void writeLE(T v) {
+    const usize at = buf_.size();
+    buf_.resize(at + sizeof(T));
     for (usize i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<u8>(v >> (8 * i)));
+      buf_[at + i] = static_cast<u8>(v >> (8 * i));
     }
   }
 };

@@ -105,6 +105,18 @@ TEST(GatewayProtocol, SecondDaemonOnSamePortExitsStartupCode) {
   EXPECT_EQ(fst->code, 0);
 }
 
+TEST(GatewayProtocol, MalformedWorkersExitsStartupCode) {
+  std::signal(SIGPIPE, SIG_IGN);
+  NodeProcess p;
+  ASSERT_TRUE(p.spawn(DHARMA_GATEWAY_BIN,
+                      {"--bind", "127.0.0.1:0", "--workers", "x"}));
+  auto st = p.wait(kExitMs);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_TRUE(st->exited);
+  EXPECT_EQ(st->code, 2) << "a malformed --workers must exit with the "
+                            "startup code";
+}
+
 TEST(GatewayProtocol, BadBindAddressExitsStartupCode) {
   NodeProcess proc;
   ASSERT_TRUE(proc.spawn(DHARMA_GATEWAY_BIN,

@@ -350,6 +350,22 @@ TEST(NodeProtocolBoot, BadDropPeersSpecExitsTwo) {
   EXPECT_EQ(es->code, 2);
 }
 
+/// A malformed integer flag is a startup error (exit 2), not an uncaught
+/// parse exception. Only values that cannot start threads or bind sockets
+/// are spawned; negative and huge counts are covered in process
+/// (test_daemon_flags.cpp).
+TEST(NodeProtocolBoot, MalformedIntegerFlagExitsTwo) {
+  std::signal(SIGPIPE, SIG_IGN);
+  for (const char* flag : {"--nodes", "--refresh-ms", "--republish-ms"}) {
+    NodeProcess p;
+    ASSERT_TRUE(p.spawn(DHARMA_NODE_BIN, {flag, "x"}));
+    auto es = p.wait(kBootMs);
+    ASSERT_TRUE(es.has_value()) << flag;
+    EXPECT_TRUE(es->exited) << flag;
+    EXPECT_EQ(es->code, 2) << flag;
+  }
+}
+
 TEST(NodeProtocolBoot, DropPeersFlagInstallsRules) {
   std::signal(SIGPIPE, SIG_IGN);
   NodeProcess p;

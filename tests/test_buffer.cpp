@@ -34,6 +34,7 @@ TEST(Buffer, VarintBoundaries) {
                 0xffffffffULL, ~0ULL}) {
     ByteWriter w;
     w.writeVarint(v);
+    EXPECT_EQ(ByteWriter::varintSize(v), w.size()) << v;
     ByteReader r(w.bytes());
     EXPECT_EQ(r.readVarint(), v);
     EXPECT_TRUE(r.atEnd());

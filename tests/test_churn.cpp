@@ -521,6 +521,66 @@ TEST(Storage, ApplyAllIsAtomic) {
   EXPECT_FALSE(s.applyAll(k2, {}, 0));  // empty batches are rejected
 }
 
+StoreToken ifNewB(const std::string& entry, u64 delta) {
+  return StoreToken{TokenKind::kIncrementIfNewB, entry, delta, {}};
+}
+
+TEST(Storage, ApplyAllRejectsIfNewBZeroAfterSameBatchCreate) {
+  // A delta-0 conditional increment is valid only on an absent entry; an
+  // entry created by an earlier token of the same batch is present.
+  BlockStore s;
+  NodeId k = NodeId::fromString("ifnewb-batch");
+  EXPECT_FALSE(s.applyAll(k, {ifNewB("x", 0), ifNewB("x", 0)}, 0));
+  EXPECT_FALSE(s.applyAll(k, {inc("x", 1), ifNewB("x", 0)}, 0));
+  EXPECT_FALSE(s.applyAll(
+      k, {StoreToken{TokenKind::kMergeMax, "x", 4, {}}, ifNewB("x", 0)}, 0));
+  EXPECT_FALSE(s.has(k));
+  EXPECT_EQ(s.tokensApplied(), 0u);
+  // Other entries, or a non-zero delta, are fine.
+  EXPECT_TRUE(s.applyAll(k, {ifNewB("x", 0), ifNewB("y", 0), ifNewB("x", 3)},
+                         0));
+  EXPECT_EQ(s.query(k, {})->weightOf("x"), 4u);
+  EXPECT_EQ(s.query(k, {})->weightOf("y"), 1u);
+  // And an entry that existed before the batch.
+  EXPECT_FALSE(s.applyAll(k, {ifNewB("z", 0), ifNewB("y", 0)}, 0));
+  EXPECT_EQ(s.query(k, {})->weightOf("z"), 0u);
+}
+
+TEST(Storage, ApplyAllRejectLeavesPayloadAndLastTouched) {
+  BlockStore s;
+  NodeId k = NodeId::fromString("reject-keeps-block");
+  EXPECT_TRUE(s.applyAll(
+      k, {StoreToken{TokenKind::kSetPayload, "", 1, "uri://old"}, inc("a", 2)},
+      5'000));
+  const u64 before = s.tokensApplied();
+  EXPECT_FALSE(s.applyAll(
+      k, {StoreToken{TokenKind::kSetPayload, "", 1, "uri://new"},
+          StoreToken{TokenKind::kTouch, "", 1, {}}, inc("a", 1), inc("", 1)},
+      9'000));
+  EXPECT_FALSE(s.applyAll(
+      k, {StoreToken{TokenKind::kSetPayload, "", 1, "uri://new"},
+          ifNewB("a", 0)},
+      9'000));
+  EXPECT_EQ(s.query(k, {})->payload, "uri://old");
+  EXPECT_EQ(s.query(k, {})->weightOf("a"), 2u);
+  EXPECT_EQ(s.lastTouched(k), 5'000u);
+  EXPECT_EQ(s.tokensApplied(), before);
+}
+
+TEST(Storage, ApplyAllMixedBatchOnFreshKeyLeavesNoBlock) {
+  BlockStore s;
+  NodeId k = NodeId::fromString("mixed-fresh");
+  EXPECT_FALSE(s.applyAll(
+      k, {StoreToken{TokenKind::kTouch, "", 1, {}},
+          StoreToken{TokenKind::kSetPayload, "", 1, "uri://p"},
+          StoreToken{TokenKind::kMergeMax, "m", 3, {}}, ifNewB("n", 0),
+          inc("i", 2), StoreToken{TokenKind::kMergeMax, "bad", 0, {}}},
+      1'000));
+  EXPECT_FALSE(s.has(k));
+  EXPECT_EQ(s.size(), 0u);
+  EXPECT_EQ(s.tokensApplied(), 0u);
+}
+
 TEST(Storage, ExpireDropsBlocksByLastTouched) {
   BlockStore s;
   NodeId oldKey = NodeId::fromString("old");

@@ -87,6 +87,41 @@ TEST(Dht, LookupCounterIsPaperUnit) {
   EXPECT_EQ(net.node(3).counters().lookups, before + 2);  // GET = 1 lookup
 }
 
+TEST(Dht, LookupQueriesEachPeerOnce) {
+  // A contact named by several replies is one shortlist entry, so a lookup
+  // sends each peer at most one FIND_NODE. With 16 nodes and k = 20 no
+  // bucket is ever full, so no eviction pings ride along.
+  DhtNetwork net(smallConfig(16));
+  net.bootstrap();
+  for (int t = 0; t < 8; ++t) {
+    std::vector<u64> before(net.size());
+    for (usize i = 0; i < net.size(); ++i) {
+      before[i] = net.node(i).counters().rpcsReceived;
+    }
+    const NodeId target = NodeId::fromString("once-" + std::to_string(t));
+    LookupResult res = net.await<LookupResult>(
+        [&](std::function<void(LookupResult)> done) {
+          net.node(0).findNode(target, std::move(done));
+        });
+    net.runFor(5'000'000);  // late replies and stragglers land
+    u64 queried = 0;
+    for (usize i = 1; i < net.size(); ++i) {
+      const u64 got = net.node(i).counters().rpcsReceived - before[i];
+      EXPECT_LE(got, 1u) << "node " << i << " queried twice, lookup " << t;
+      queried += got;
+    }
+    EXPECT_EQ(queried, res.messagesSent);
+    std::set<NodeId> ids;
+    for (const Contact& c : res.closest) ids.insert(c.id);
+    EXPECT_EQ(ids.size(), res.closest.size());
+    for (usize i = 1; i < res.closest.size(); ++i) {
+      EXPECT_LT(compareDistance(target, res.closest[i - 1].id,
+                                res.closest[i].id),
+                0);
+    }
+  }
+}
+
 TEST(Dht, PutManyIsSingleLookup) {
   DhtNetwork net(smallConfig(16));
   net.bootstrap();

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -379,8 +380,6 @@ TEST(Gateway, DebugTracesWithoutRingIs404) {
   GatewayServer bare(cfg, {});
   ASSERT_EQ(bare.start(), StartError::kNone);
   {
-    // Scoped so the connection closes before stop() — otherwise the
-    // graceful drain waits out its full deadline on the idle keep-alive.
     HttpClient c;
     ASSERT_TRUE(c.connect("127.0.0.1", bare.port()));
     auto tr = c.request("GET", "/debug/traces");
@@ -389,6 +388,30 @@ TEST(Gateway, DebugTracesWithoutRingIs404) {
     EXPECT_NE(tr->body.find("tracing-disabled"), std::string::npos);
   }
   bare.stop();
+}
+
+TEST(Gateway, StopClosesIdleKeepAliveConnectionsPromptly) {
+  // A keep-alive client between requests holds nothing the drain must wait
+  // for: stop() closes it instead of waiting out the drain deadline.
+  GatewayConfig cfg;
+  cfg.port = 0;
+  cfg.drainDeadlineMs = 5000;
+  GatewayServer bare(cfg, {});
+  ASSERT_EQ(bare.start(), StartError::kNone);
+  HttpClient c;
+  ASSERT_TRUE(c.connect("127.0.0.1", bare.port()));
+  auto r = c.request("GET", "/debug/traces");
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->status, 404);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  bare.stop();
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  EXPECT_LT(ms, 1000) << "stop() waited on an idle keep-alive connection";
+  EXPECT_FALSE(c.request("GET", "/debug/traces").has_value())
+      << "the idle connection must be closed by stop()";
 }
 
 TEST(Gateway, StartErrorPortInUseIsTyped) {

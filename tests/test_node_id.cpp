@@ -107,6 +107,88 @@ TEST(NodeId, CloserToIsStrict) {
   EXPECT_FALSE(closerTo(t, a, a));
 }
 
+/// Byte-at-a-time references for the word-wise fast paths.
+int refCompareDistance(const NodeId& t, const NodeId& a, const NodeId& b) {
+  for (usize i = 0; i < 20; ++i) {
+    const u8 da = a.bytes[i] ^ t.bytes[i];
+    const u8 db = b.bytes[i] ^ t.bytes[i];
+    if (da != db) return da < db ? -1 : 1;
+  }
+  return 0;
+}
+
+int refBucketIndex(const NodeId& a, const NodeId& b) {
+  for (int bit = 159; bit >= 0; --bit) {
+    if (a.bit(bit) != b.bit(bit)) return bit;
+  }
+  return -1;
+}
+
+/// Checks every distance-derived answer for (t, a, b) against the byte-wise
+/// references, including the Distance words themselves.
+void expectMatchesReference(const NodeId& t, const NodeId& a,
+                            const NodeId& b) {
+  const int want = refCompareDistance(t, a, b);
+  EXPECT_EQ(compareDistance(t, a, b), want) << t.toHex() << " " << a.toHex()
+                                            << " " << b.toHex();
+  EXPECT_EQ(closerTo(t, a, b), want < 0);
+  EXPECT_EQ(distance(t, a) < distance(t, b), want < 0);
+  EXPECT_EQ(distance(t, a) == distance(t, b), want == 0);
+  EXPECT_EQ(bucketIndex(t, a), refBucketIndex(t, a));
+  const NodeId x = xorDistance(t, a);
+  Distance words;
+  for (usize i = 0; i < 8; ++i) words.hi = (words.hi << 8) | x.bytes[i];
+  for (usize i = 8; i < 16; ++i) words.mid = (words.mid << 8) | x.bytes[i];
+  for (usize i = 16; i < 20; ++i) {
+    words.lo = static_cast<u32>((words.lo << 8) | x.bytes[i]);
+  }
+  EXPECT_EQ(distance(t, a), words);
+}
+
+TEST(NodeId, DistanceMatchesByteOrder) {
+  Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    const NodeId t = NodeId::random(rng);
+    const NodeId a = NodeId::random(rng);
+    const NodeId b = NodeId::random(rng);
+    expectMatchesReference(t, a, b);
+    expectMatchesReference(t, a, a);
+    expectMatchesReference(t, t, a);
+  }
+  // Ids that differ in one byte only: every word boundary (7|8, 15|16) and
+  // both ends, with the differing bits high, low and mixed.
+  const u8 flips[] = {0x01, 0x80, 0x7f, 0xff, 0x10};
+  for (usize byte : {usize{0}, usize{7}, usize{8}, usize{15}, usize{16},
+                     usize{19}}) {
+    for (u8 flip : flips) {
+      for (int rep = 0; rep < 20; ++rep) {
+        const NodeId t = NodeId::random(rng);
+        const NodeId a = NodeId::random(rng);
+        NodeId b = a;
+        b.bytes[byte] ^= flip;
+        expectMatchesReference(t, a, b);
+        expectMatchesReference(t, b, a);
+        expectMatchesReference(a, a, b);  // target equal to one of them
+      }
+    }
+  }
+  // One id nearer in a high word, the other in a low word: word order
+  // decides.
+  NodeId t = NodeId::zero();
+  NodeId highBit = NodeId::zero();
+  highBit.bytes[0] = 0x01;
+  NodeId lowBits = NodeId::zero();
+  for (usize i = 1; i < 20; ++i) lowBits.bytes[i] = 0xff;
+  EXPECT_GT(compareDistance(t, highBit, lowBits), 0);
+  NodeId midBit = NodeId::zero();
+  midBit.bytes[8] = 0x01;
+  NodeId lowWord = NodeId::zero();
+  for (usize i = 16; i < 20; ++i) lowWord.bytes[i] = 0xff;
+  EXPECT_GT(compareDistance(t, midBit, lowWord), 0);
+  expectMatchesReference(t, highBit, lowBits);
+  expectMatchesReference(t, midBit, lowWord);
+}
+
 TEST(NodeId, RandomIdsDistinct) {
   Rng rng(6);
   std::set<std::string> seen;

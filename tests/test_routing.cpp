@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace dharma::dht {
 namespace {
 
@@ -120,6 +122,65 @@ TEST(RoutingTable, NonEmptyBucketsCounts) {
   EXPECT_EQ(rt.nonEmptyBuckets(), 0u);
   rt.touch(mk(1));
   EXPECT_GE(rt.nonEmptyBuckets(), 1u);
+}
+
+/// Reference k-closest: every contact, fully sorted by XOR distance.
+std::vector<Contact> bruteClosest(const RoutingTable& rt, const NodeId& target,
+                                  usize n) {
+  std::vector<Contact> all;
+  for (usize b = 0; b < 160; ++b) {
+    const auto& e = rt.bucket(b).entries();
+    all.insert(all.end(), e.begin(), e.end());
+  }
+  std::sort(all.begin(), all.end(), [&](const Contact& a, const Contact& b) {
+    return compareDistance(target, a.id, b.id) < 0;
+  });
+  all.resize(std::min(n, all.size()));
+  return all;
+}
+
+TEST(RoutingTable, ClosestMatchesBruteForce) {
+  Rng rng(2024);
+  for (usize cap : {usize{1}, usize{2}, usize{20}, usize{256}}) {
+    for (int table = 0; table < 6; ++table) {
+      RoutingTable rt(NodeId::random(rng), cap);
+      // Uniform ids fill the top buckets; ids drawn per bucket populate the
+      // low ones too, so targets near self see a non-trivial lower group.
+      const usize contacts = 20 + rng.next() % 300;
+      for (usize i = 0; i < contacts; ++i) {
+        Contact c;
+        c.id = i % 2 == 0
+                   ? NodeId::random(rng)
+                   : rt.randomIdInBucket(rng.next() % 160, rng);
+        c.addr = static_cast<net::Address>(i + 1);
+        rt.touch(c);
+      }
+      std::vector<NodeId> targets = {rt.self()};
+      for (usize b = 0; b < 160; ++b) {
+        const auto& e = rt.bucket(b).entries();
+        if (e.empty()) continue;
+        targets.push_back(e.front().id);                // a contact itself
+        targets.push_back(rt.randomIdInBucket(b, rng));  // inside bucket b
+      }
+      for (int i = 0; i < 20; ++i) targets.push_back(NodeId::random(rng));
+
+      const usize size = rt.size();
+      const usize ns[] = {0, 1, 2, 3, 7, 20, size > 0 ? size - 1 : 0, size,
+                          size + 1, size + 50};
+      for (const NodeId& t : targets) {
+        for (usize n : ns) {
+          const auto got = rt.closest(t, n);
+          const auto want = bruteClosest(rt, t, n);
+          ASSERT_EQ(got.size(), want.size()) << "cap " << cap << " n " << n;
+          for (usize i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], want[i])
+                << "cap " << cap << " n " << n << " rank " << i
+                << " target " << t.toHex();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

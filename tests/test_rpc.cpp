@@ -35,6 +35,36 @@ TEST(Rpc, EnvelopeRoundtrip) {
   EXPECT_TRUE(cs.verify(decoded->credential));
 }
 
+TEST(Rpc, EncodersReserveTheirExactSize) {
+  // One allocation of exactly the encoded size: a short reservation would
+  // regrow (capacity past size), a long one would leave slack.
+  for (usize bodyLen : {usize{0}, usize{1}, usize{127}, usize{128},
+                        usize{521}, usize{20000}}) {
+    for (const char* user : {"", "alice", "a-much-longer-user-name"}) {
+      Envelope e = mkEnvelope(RpcType::kFindNodeReply);
+      e.credential = cs.enroll(user, 7);
+      e.body.assign(bodyLen, 0xAB);
+      const std::vector<u8> bytes = e.encode();
+      EXPECT_EQ(bytes.capacity(), bytes.size()) << bodyLen << " " << user;
+      ASSERT_TRUE(Envelope::decode(bytes).has_value());
+    }
+  }
+  for (usize n : {usize{0}, usize{1}, usize{20}, usize{200}}) {
+    ContactsReply rep;
+    FindValueReply miss;
+    for (usize i = 0; i < n; ++i) {
+      Contact c{NodeId::fromString("c" + std::to_string(i)),
+                net::makeAddress(0x0A000001u, static_cast<u16>(i))};
+      rep.contacts.push_back(c);
+      miss.contacts.push_back(c);
+    }
+    const std::vector<u8> a = rep.encode();
+    EXPECT_EQ(a.capacity(), a.size()) << n;
+    const std::vector<u8> b = miss.encode();
+    EXPECT_EQ(b.capacity(), b.size()) << n;
+  }
+}
+
 TEST(Rpc, EnvelopeRejectsGarbage) {
   EXPECT_FALSE(Envelope::decode({}).has_value());
   EXPECT_FALSE(Envelope::decode({0xff, 0x01}).has_value());
